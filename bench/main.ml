@@ -14,11 +14,11 @@
    With [--json PATH] the harness instead runs the machine-readable
    micro-benchmark used by CI to track the perf trajectory across PRs:
    parse / elaborate / simulate throughput over several testbed designs
-   plus synthetic low-activity and sequential-heavy designs, for all
-   four simulator kernels, with hard same-run gates demanding the
-   lowered kernel never lose to the brute-force sweep it replaces and
-   the dirty lowered kernel never lose to the plain one (and beat the
-   event kernel on the idle design it was built for). *)
+   plus synthetic low-activity and sequential-heavy designs, for the
+   production kernel and the brute-force oracle, with hard same-run
+   gates demanding the production kernel never lose to the oracle and
+   keep its margin on the idle design change-driven scheduling exists
+   for. *)
 
 module Report = Fpga_report.Report
 module Bug = Fpga_testbed.Bug
@@ -42,8 +42,8 @@ type bench_design = {
 }
 
 (* A deep pipeline fed a constant input: after it fills, no signal
-   changes, so the event-driven kernel's dirty set runs empty. This is
-   the low-activity design the kernel is meant to win on. *)
+   changes, so the event kernel's dirty set runs empty. This is the
+   low-activity design the kernel is meant to win on. *)
 let idle_design_src stages =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -67,9 +67,9 @@ let idle_design_src stages =
 
 (* A register ring with essentially no combinational plan: one always
    block rewrites all [regs] registers every cycle, so the run is pure
-   sequential-edge work through the flat NBA commit buffer. The dirty
-   lowered kernel has nothing to skip here — the design exists to prove
-   the dirty machinery costs nothing when it cannot help. *)
+   sequential-edge work through the flat NBA commit buffer. The event
+   kernel has nothing to skip here — the design exists to prove the
+   dirty machinery costs nothing when it cannot help. *)
 let seq_design_src regs =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -236,33 +236,28 @@ type bench_result = {
   br_top : string;
   br_parse_per_sec : float;
   br_elaborate_per_sec : float;
-  br_event_cps : float;
-  br_brute_cps : float;
-  br_lowered_cps : float;
-  br_ldirty_cps : float;
-  br_dirty_ratio : float;  (* dirty/lowered best-batch throughput ratio *)
-  br_auto_kernel : string;  (* kernel [Simulator.create] picks unforced *)
+  br_event_cps : float;  (* production kernel, best batch *)
+  br_brute_cps : float;  (* brute-force oracle, best batch *)
 }
 
 let bench_one (d : bench_design) =
   let design = Fpga_hdl.Parser.parse_design d.bd_src in
   let flat = Fpga_sim.Elaborate.elaborate design ~top:d.bd_top in
-  (* The lowered pair feeds a hard same-run gate, so both sides use the
+  (* The kernel pair feeds a hard same-run gate, so both sides use the
      best-batch ceiling estimator, with the two kernels' measurement
      windows interleaved so any long-lived host slowdown lands on both
      sides of the ratio equally. *)
-  let lowered_cps = ref 0.0 and ldirty_cps = ref 0.0 in
+  let event_cps = ref 0.0 and brute_cps = ref 0.0 in
   for _ = 1 to 3 do
-    lowered_cps :=
-      Float.max !lowered_cps
-        (sim_best_batch_cps ~min_elapsed:0.15 ~kernel:Simulator.Lowered flat
-           d.bd_stim);
-    ldirty_cps :=
-      Float.max !ldirty_cps
-        (sim_best_batch_cps ~min_elapsed:0.15
-           ~kernel:Simulator.Lowered_dirty flat d.bd_stim)
+    event_cps :=
+      Float.max !event_cps
+        (sim_best_batch_cps ~min_elapsed:0.15 ~kernel:Simulator.Event_driven
+           flat d.bd_stim);
+    brute_cps :=
+      Float.max !brute_cps
+        (sim_best_batch_cps ~min_elapsed:0.15 ~kernel:Simulator.Brute_force
+           flat d.bd_stim)
   done;
-  let dirty_ratio = !ldirty_cps /. !lowered_cps in
   {
     br_id = d.bd_id;
     br_top = d.bd_top;
@@ -271,26 +266,19 @@ let bench_one (d : bench_design) =
     br_elaborate_per_sec =
       runs_per_sec (fun () ->
           ignore (Fpga_sim.Elaborate.elaborate design ~top:d.bd_top));
-    br_event_cps =
-      sim_cycles_per_sec ~kernel:Simulator.Event_driven flat d.bd_stim;
-    br_brute_cps =
-      sim_cycles_per_sec ~kernel:Simulator.Brute_force flat d.bd_stim;
-    br_lowered_cps = !lowered_cps;
-    br_ldirty_cps = !ldirty_cps;
-    br_dirty_ratio = dirty_ratio;
-    br_auto_kernel = Simulator.kernel_name (Simulator.kernel (Simulator.create flat));
+    br_event_cps = !event_cps;
+    br_brute_cps = !brute_cps;
   }
 
-(* Throughput of whichever kernel auto-selection actually picked for
-   this design: the honest numerator for the headline "speedup" column
-   (previous schemas quietly reported event-vs-brute even when the
-   simulator would have run a lowered kernel). *)
-let auto_cps r =
-  match r.br_auto_kernel with
-  | "event" -> r.br_event_cps
-  | "brute" -> r.br_brute_cps
-  | "lowered" -> r.br_lowered_cps
-  | _ -> r.br_ldirty_cps
+let speedup r = r.br_event_cps /. r.br_brute_cps
+
+(* Minimum same-run speedup over the brute-force oracle. Every design:
+   the production kernel is a pure optimization of the full sweep, so
+   it must never lose to it. IDLE64: the idle pipeline change-driven
+   scheduling exists for, held to the 6.5x the interpretive event
+   kernel recorded there before its scheduler was folded into the
+   lowered closures. *)
+let gate_min_speedup r = if r.br_id = "IDLE64" then 6.5 else 1.0
 
 (* Lowering-pass statics per bench design: how long one lowered
    construction takes and what the closure compiler emitted. The counts
@@ -305,7 +293,6 @@ type lowering_bench = {
   lo_imm : int;
   lo_boxed : int;
   lo_seq : int;
-  lo_dirty : bool;
 }
 
 let lowering_bench_one (d : bench_design) =
@@ -313,9 +300,9 @@ let lowering_bench_one (d : bench_design) =
   let flat = Fpga_sim.Elaborate.elaborate design ~top:d.bd_top in
   let creates_per_sec =
     runs_per_sec (fun () ->
-        ignore (Simulator.create ~kernel:Simulator.Lowered_dirty flat))
+        ignore (Simulator.create flat))
   in
-  let sim = Simulator.create ~kernel:Simulator.Lowered_dirty flat in
+  let sim = Simulator.create flat in
   let st = Option.get (Simulator.lowering_stats sim) in
   {
     lo_design = d.bd_id;
@@ -326,18 +313,17 @@ let lowering_bench_one (d : bench_design) =
     lo_imm = st.Fpga_sim.Lowered.lw_imm;
     lo_boxed = st.Fpga_sim.Lowered.lw_boxed;
     lo_seq = st.Fpga_sim.Lowered.lw_seq;
-    lo_dirty = st.Fpga_sim.Lowered.lw_dirty;
   }
 
 (* Kernel-telemetry readout: one instrumented 2000-cycle run per bench
-   design, reporting how much of the full-sweep work the event-driven
-   kernel actually performed and how the global event bus filled. *)
+   design, reporting how much of the full-sweep work the event kernel
+   actually performed and how the global event bus filled. *)
 type telemetry_stats = {
   ts_design : string;
   ts_settles : int;
   ts_node_rounds : int;
   ts_nodes_evaluated : int;
-  ts_efficiency : float;
+  ts_efficiency : float option;  (* [None] on an empty comb plan *)
   ts_bus_published : int;
   ts_bus_dropped : int;
 }
@@ -360,7 +346,7 @@ let telemetry_stats_one (d : bench_design) =
     ts_settles = st.Simulator.st_settles;
     ts_node_rounds = st.Simulator.st_node_rounds;
     ts_nodes_evaluated = st.Simulator.st_nodes_evaluated;
-    ts_efficiency = Option.value (Simulator.kernel_efficiency sim) ~default:1.0;
+    ts_efficiency = Simulator.kernel_efficiency sim;
     ts_bus_published = r.Telemetry.r_bus_published;
     ts_bus_dropped = r.Telemetry.r_bus_dropped;
   }
@@ -373,8 +359,9 @@ let telemetry_benches () =
 (* Cost of the single-branch disabled guard and of full recording: the
    same stepping workload with telemetry off and on. The off numbers
    must stay in line with the plain sim_cycles_per_sec_event metrics
-   (the <=5% disabled-overhead acceptance bar); the on numbers show
-   what a fully instrumented run pays. *)
+   (the <=5% disabled-overhead acceptance bar; those are best-batch
+   ceilings, these are aggregate windows); the on numbers show what a
+   fully instrumented run pays. *)
 type overhead = {
   to_design : string;
   to_cps_off : float;
@@ -469,46 +456,32 @@ let campaign_benches () =
 
 let json_of_results results lowerings bits lookup telem overheads campaigns =
   let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"schema\": \"fpga-debug-bench/7\",\n";
+  Buffer.add_string buf "{\n  \"schema\": \"fpga-debug-bench/8\",\n";
   Buffer.add_string buf "  \"designs\": [\n";
-  (* "speedup" is auto-kernel throughput over brute — what a user who
-     never passes --kernel actually gets, not the event kernel's ratio *)
+  (* both throughputs are same-run best-batch ceilings; "speedup" is the
+     production kernel over the brute-force oracle *)
   List.iteri
     (fun i r ->
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"id\": %S, \"top\": %S, \"parse_per_sec\": %.1f, \
             \"elaborate_per_sec\": %.1f, \"sim_cycles_per_sec_event\": \
-            %.1f, \"sim_cycles_per_sec_brute\": %.1f, \
-            \"sim_cycles_per_sec_lowered\": %.1f, \
-            \"sim_cycles_per_sec_lowered_dirty\": %.1f, \
-            \"auto_kernel\": %S, \"speedup\": %.2f}%s\n"
+            %.1f, \"sim_cycles_per_sec_brute\": %.1f, \"speedup\": %.2f}%s\n"
            r.br_id r.br_top r.br_parse_per_sec r.br_elaborate_per_sec
-           r.br_event_cps r.br_brute_cps r.br_lowered_cps r.br_ldirty_cps
-           r.br_auto_kernel
-           (auto_cps r /. r.br_brute_cps)
+           r.br_event_cps r.br_brute_cps (speedup r)
            (if i = List.length results - 1 then "" else ",")))
     results;
-  (* per-kernel throughput side by side, keyed on "design" so the
-     baseline scanner (which keys throughput on "id") sees each number
-     exactly once *)
-  Buffer.add_string buf "  ],\n  \"kernel_compare\": [\n";
+  (* the same-run kernel gate per design, keyed on "design" so the
+     baseline scanner (which keys throughput on "id") never reads it *)
+  Buffer.add_string buf "  ],\n  \"kernel_gate\": [\n";
   List.iteri
     (fun i r ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"design\": %S, \"event_cps\": %.1f, \"brute_cps\": %.1f, \
-            \"lowered_cps\": %.1f, \"lowered_dirty_cps\": %.1f, \
-            \"auto_kernel\": %S, \"event_speedup_vs_brute\": %.2f, \
-            \"lowered_speedup_vs_brute\": %.2f, \
-            \"lowered_dirty_speedup_vs_brute\": %.2f, \
-            \"dirty_vs_lowered_ratio\": %.3f}%s\n"
-           r.br_id r.br_event_cps r.br_brute_cps r.br_lowered_cps
-           r.br_ldirty_cps r.br_auto_kernel
-           (r.br_event_cps /. r.br_brute_cps)
-           (r.br_lowered_cps /. r.br_brute_cps)
-           (r.br_ldirty_cps /. r.br_brute_cps)
-           r.br_dirty_ratio
+           "    {\"design\": %S, \"speedup_vs_brute\": %.2f, \
+            \"min_speedup\": %.1f, \"pass\": %b}%s\n"
+           r.br_id (speedup r) (gate_min_speedup r)
+           (speedup r >= gate_min_speedup r)
            (if i = List.length results - 1 then "" else ",")))
     results;
   Buffer.add_string buf "  ],\n  \"lowering\": [\n";
@@ -518,9 +491,9 @@ let json_of_results results lowerings bits lookup telem overheads campaigns =
         (Printf.sprintf
            "    {\"design\": %S, \"compile_ms\": %.3f, \"nodes\": %d, \
             \"closures\": %d, \"fused\": %d, \"imm_signals\": %d, \
-            \"boxed_signals\": %d, \"seq_blocks\": %d, \"dirty\": %b}%s\n"
+            \"boxed_signals\": %d, \"seq_blocks\": %d}%s\n"
            l.lo_design l.lo_compile_ms l.lo_nodes l.lo_closures l.lo_fused
-           l.lo_imm l.lo_boxed l.lo_seq l.lo_dirty
+           l.lo_imm l.lo_boxed l.lo_seq
            (if i = List.length lowerings - 1 then "" else ",")))
     lowerings;
   Buffer.add_string buf "  ],\n  \"bits_ops\": [\n";
@@ -546,10 +519,13 @@ let json_of_results results lowerings bits lookup telem overheads campaigns =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"design\": %S, \"settles\": %d, \"node_rounds\": %d, \
-            \"nodes_evaluated\": %d, \"kernel_efficiency\": %.4f, \
+            \"nodes_evaluated\": %d, \"kernel_efficiency\": %s, \
             \"bus_published\": %d, \"bus_dropped\": %d}%s\n"
            t.ts_design t.ts_settles t.ts_node_rounds t.ts_nodes_evaluated
-           t.ts_efficiency t.ts_bus_published t.ts_bus_dropped
+           (match t.ts_efficiency with
+           | Some e -> Printf.sprintf "%.4f" e
+           | None -> "null")
+           t.ts_bus_published t.ts_bus_dropped
            (if i = List.length telem - 1 then "" else ",")))
     telem;
   Buffer.add_string buf "  ],\n  \"telemetry_overhead\": [\n";
@@ -588,8 +564,8 @@ let json_of_results results lowerings bits lookup telem overheads campaigns =
 
 (* Minimal scanner for the bench JSON this harness writes (one entry
    per line): extracts labelled throughput numbers without a JSON
-   dependency. Labels: design id -> event cycles/sec, "op@width" ->
-   ops/sec, "signal_lookup_array" -> lookups/sec. *)
+   dependency. Labels: design id -> event-kernel cycles/sec,
+   "op@width" -> ops/sec, "signal_lookup_array" -> lookups/sec. *)
 let find_sub s pat =
   let n = String.length s and m = String.length pat in
   let rec go i =
@@ -631,17 +607,6 @@ let labelled_metrics_of_file path =
        let line = input_line ic in
        (match (field_string line "id", field_float line "sim_cycles_per_sec_event") with
        | Some id, Some v -> entries := (id, v) :: !entries
-       | _ -> ());
-       (match
-          (field_string line "id", field_float line "sim_cycles_per_sec_lowered")
-        with
-       | Some id, Some v -> entries := (id ^ "@lowered", v) :: !entries
-       | _ -> ());
-       (match
-          ( field_string line "id",
-            field_float line "sim_cycles_per_sec_lowered_dirty" )
-        with
-       | Some id, Some v -> entries := (id ^ "@lowered-dirty", v) :: !entries
        | _ -> ());
        (match
           (field_string line "op", field_float line "width", field_float line "ops_per_sec")
@@ -688,69 +653,24 @@ let compare_to_baseline ~current ~baseline_path =
         baseline_path
   end
 
-(* The lowered kernel is a pure optimization of the full sweep: it must
-   never lose to the brute-force reference it replaces, on the same
-   machine, in the same run. Unlike the warn-only baseline comparison
-   (cross-machine, cross-run), this same-run relative gate is immune to
-   host speed, so bench-smoke fails hard on it. *)
-let lowered_gate results =
-  let slower =
-    List.filter (fun r -> r.br_lowered_cps < r.br_brute_cps) results
-  in
+(* Same-run relative gate against the brute-force oracle (see
+   [gate_min_speedup]). Unlike the warn-only baseline comparison
+   (cross-machine, cross-run), it is immune to host speed, so
+   bench-smoke fails hard on it. *)
+let kernel_gate results =
+  let failing = List.filter (fun r -> speedup r < gate_min_speedup r) results in
   List.iter
     (fun r ->
       Printf.printf
-        "KERNEL GATE FAILURE: %s slower under lowered than brute \
-         (%.1f vs %.1f cycles/s)\n"
-        r.br_id r.br_lowered_cps r.br_brute_cps)
-    slower;
-  if slower = [] then
+        "KERNEL GATE FAILURE: %s event kernel only %.2fx brute (needs %.1fx; \
+         %.1f vs %.1f cycles/s)\n"
+        r.br_id (speedup r) (gate_min_speedup r) r.br_event_cps r.br_brute_cps)
+    failing;
+  if failing = [] then
     Printf.printf
-      "kernel gate: lowered >= brute-force on all %d designs\n"
+      "kernel gate: event >= brute on all %d designs, >= 6.5x on IDLE64\n"
       (List.length results);
-  slower = []
-
-(* The dirty variant must be a pure win over the plain lowered kernel.
-   On designs where it cannot help (SEQ64's single closure runs every
-   settle) the two kernels do identical work and the comparison is all
-   timer noise, so the gate compares the two kernels' best-batch
-   ceilings (see [sim_best_batch_cps]) with a small tolerance for the
-   residual jitter. The IDLE64 event-kernel bar is strict — that is
-   the design the dirty worklist exists for, and its expected margin
-   is large. *)
-let dirty_tolerance = 0.95
-
-let dirty_gate results =
-  let slower =
-    List.filter (fun r -> r.br_dirty_ratio < dirty_tolerance) results
-  in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "KERNEL GATE FAILURE: %s slower under lowered-dirty than plain \
-         lowered (window ratio %.3f, tolerance %.2f)\n"
-        r.br_id r.br_dirty_ratio dirty_tolerance)
-    slower;
-  let idle_ok =
-    List.for_all
-      (fun r -> r.br_id <> "IDLE64" || r.br_ldirty_cps >= r.br_event_cps)
-      results
-  in
-  if not idle_ok then
-    List.iter
-      (fun r ->
-        if r.br_id = "IDLE64" then
-          Printf.printf
-            "KERNEL GATE FAILURE: IDLE64 slower under lowered-dirty than \
-             event-driven (%.1f vs %.1f cycles/s)\n"
-            r.br_ldirty_cps r.br_event_cps)
-      results;
-  if slower = [] && idle_ok then
-    Printf.printf
-      "kernel gate: lowered-dirty >= lowered on all %d designs, >= event \
-       on IDLE64\n"
-      (List.length results);
-  slower = [] && idle_ok
+  failing = []
 
 let run_json_bench path baseline =
   let results = List.map bench_one (bench_designs ()) in
@@ -766,26 +686,21 @@ let run_json_bench path baseline =
   let oc = open_out path in
   output_string oc json;
   close_out oc;
-  Printf.printf "%-8s %-10s %12s %14s %14s %14s %14s %8s %8s %-13s\n" "design"
-    "top" "parse/s" "event cyc/s" "brute cyc/s" "lowered cyc/s"
-    "ldirty cyc/s" "lo/bf" "ld/bf" "auto";
+  Printf.printf "%-8s %-10s %12s %14s %14s %8s %6s\n" "design" "top"
+    "parse/s" "event cyc/s" "brute cyc/s" "ev/bf" "gate";
   List.iter
     (fun r ->
-      Printf.printf
-        "%-8s %-10s %12.1f %14.1f %14.1f %14.1f %14.1f %7.2fx %7.2fx %-13s\n"
-        r.br_id r.br_top r.br_parse_per_sec r.br_event_cps r.br_brute_cps
-        r.br_lowered_cps r.br_ldirty_cps
-        (r.br_lowered_cps /. r.br_brute_cps)
-        (r.br_ldirty_cps /. r.br_brute_cps)
-        r.br_auto_kernel)
+      Printf.printf "%-8s %-10s %12.1f %14.1f %14.1f %7.2fx %5.1fx\n" r.br_id
+        r.br_top r.br_parse_per_sec r.br_event_cps r.br_brute_cps (speedup r)
+        (gate_min_speedup r))
     results;
-  Printf.printf "\n%-8s %12s %8s %10s %8s %8s %8s %8s %6s\n" "design"
-    "compile ms" "nodes" "closures" "fused" "imm" "boxed" "seq" "dirty";
+  Printf.printf "\n%-8s %12s %8s %10s %8s %8s %8s %8s\n" "design"
+    "compile ms" "nodes" "closures" "fused" "imm" "boxed" "seq";
   List.iter
     (fun l ->
-      Printf.printf "%-8s %12.3f %8d %10d %8d %8d %8d %8d %6b\n" l.lo_design
+      Printf.printf "%-8s %12.3f %8d %10d %8d %8d %8d %8d\n" l.lo_design
         l.lo_compile_ms l.lo_nodes l.lo_closures l.lo_fused l.lo_imm
-        l.lo_boxed l.lo_seq l.lo_dirty)
+        l.lo_boxed l.lo_seq)
     lowerings;
   Printf.printf "\n%-14s %8s %16s\n" "bits op" "width" "ops/s";
   List.iter
@@ -800,9 +715,12 @@ let run_json_bench path baseline =
     "node rnds" "evaluated" "eff %" "bus pub" "bus drop";
   List.iter
     (fun t ->
-      Printf.printf "%-8s %10d %12d %10d %9.1f%% %10d %9d\n" t.ts_design
+      Printf.printf "%-8s %10d %12d %10d %10s %10d %9d\n" t.ts_design
         t.ts_settles t.ts_node_rounds t.ts_nodes_evaluated
-        (100.0 *. t.ts_efficiency) t.ts_bus_published t.ts_bus_dropped)
+        (match t.ts_efficiency with
+        | Some e -> Printf.sprintf "%.1f%%" (100.0 *. e)
+        | None -> "n/a")
+        t.ts_bus_published t.ts_bus_dropped)
     telem;
   Printf.printf "\n%-8s %16s %16s %10s %16s %10s\n" "design"
     "cyc/s telem off" "cyc/s telem on" "overhead" "cyc/s trace on"
@@ -827,19 +745,13 @@ let run_json_bench path baseline =
   | Some baseline_path ->
       let current =
         List.map (fun r -> (r.br_id, r.br_event_cps)) results
-        @ List.map (fun r -> (r.br_id ^ "@lowered", r.br_lowered_cps)) results
-        @ List.map
-            (fun r -> (r.br_id ^ "@lowered-dirty", r.br_ldirty_cps))
-            results
         @ List.map
             (fun b -> (Printf.sprintf "%s@%d" b.bb_op b.bb_width, b.bb_ops_per_sec))
             bits
         @ [ ("signal_lookup_array", lookup.lb_array_per_sec) ]
       in
       compare_to_baseline ~current ~baseline_path);
-  let gate_ok = lowered_gate results in
-  let dirty_ok = dirty_gate results in
-  if not (gate_ok && dirty_ok) then exit 1
+  if not (kernel_gate results) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)

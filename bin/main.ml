@@ -83,19 +83,16 @@ let traced ~trace ~clock ?(jobs_of = fun _ -> []) run =
       Printf.printf "wrote %s\n" path;
       v
 
-(* Shared settle-kernel selector: [None] keeps [Simulator.create]'s
-   automatic plan-shape selection. *)
+(* Shared settle-kernel selector. *)
 let kernel_arg =
   Arg.(value
-       & opt (enum [ ("auto", None);
-                     ("event", Some Fpga_sim.Simulator.Event_driven);
-                     ("brute", Some Fpga_sim.Simulator.Brute_force);
-                     ("lowered", Some Fpga_sim.Simulator.Lowered);
-                     ("lowered-dirty", Some Fpga_sim.Simulator.Lowered_dirty) ])
-           None
+       & opt (enum [ ("event", Fpga_sim.Simulator.Event_driven);
+                     ("brute", Fpga_sim.Simulator.Brute_force) ])
+           Fpga_sim.Simulator.Event_driven
        & info [ "kernel" ] ~docv:"KERNEL"
-           ~doc:"Settle kernel: auto|event|brute|lowered|lowered-dirty \
-                 (auto selects from the compiled plan's shape)")
+           ~doc:"Settle kernel: event (the production kernel: lowered \
+                 closures with change-driven scheduling) or brute (the \
+                 full-sweep reference oracle)")
 
 (* --- list ----------------------------------------------------------- *)
 
@@ -557,7 +554,7 @@ let profile_cmd =
     let bug = find_bug id in
     let p =
       traced ~trace ~clock:trace_clock (fun () ->
-          Fpga_report.Profile.run ?kernel ~cycles ~buffer ~top_k bug)
+          Fpga_report.Profile.run ~kernel ~cycles ~buffer ~top_k bug)
     in
     Fpga_report.Profile.print p;
     match json with
@@ -738,11 +735,7 @@ let sim_cmd =
       Telemetry.span "elaborate" @@ fun () ->
       Fpga_sim.Elaborate.elaborate design ~top
     in
-    let sim =
-      match kernel with
-      | Some kernel -> Fpga_sim.Simulator.create ~kernel flat
-      | None -> Fpga_sim.Simulator.create flat
-    in
+    let sim = Fpga_sim.Simulator.create ~kernel flat in
     let vcd = Option.map (fun _ -> Fpga_sim.Vcd.create flat) vcd_out in
     let stim_table = match stim with Some p -> parse_stim p | None -> [] in
     let watched =
@@ -898,7 +891,7 @@ let campaign_cmd =
     let c =
       traced ~trace ~clock:trace_clock
         ~jobs_of:Fpga_campaign.Campaign.trace_segments (fun () ->
-          Fpga_campaign.Campaign.run ?domains:jobs ?kernel ~differential
+          Fpga_campaign.Campaign.run ?domains:jobs ~kernel ~differential
             ~sweeps ?replay_every bugs)
     in
     Fpga_campaign.Campaign.print c;
@@ -958,7 +951,7 @@ let fuzz_cmd =
     let fc =
       traced ~trace ~clock:trace_clock
         ~jobs_of:Fpga_campaign.Campaign.fuzz_trace_segments (fun () ->
-          Fpga_campaign.Campaign.run_fuzz ?domains:jobs ?kernel ~seed ~mutants
+          Fpga_campaign.Campaign.run_fuzz ?domains:jobs ~kernel ~seed ~mutants
             ())
     in
     Fpga_campaign.Campaign.print_fuzz fc;

@@ -68,7 +68,7 @@ val repro_job :
   ?kernel:Fpga_sim.Simulator.kernel -> Fpga_testbed.Bug.t -> verdict job
 (** Differential buggy-vs-fixed reproduction with a VCD captured on
     the buggy side; ok when every Table 2 symptom manifests. [kernel]
-    overrides the simulator's automatic kernel selection. *)
+    defaults to {!Fpga_sim.Simulator.Event_driven}. *)
 
 val differential_job :
   ?kernel:Fpga_sim.Simulator.kernel -> Fpga_testbed.Bug.t -> verdict job
@@ -109,7 +109,7 @@ val jobs_of :
     [sweeps], plus one replay-determinism job per bug when
     [replay_every] is set to a positive checkpoint interval. [kernel]
     pins the settle kernel for repro/differential/sweep jobs (replay
-    jobs keep automatic selection so the recorded and replayed runs
+    jobs keep the default kernel so the recorded and replayed runs
     share it). *)
 
 val run :

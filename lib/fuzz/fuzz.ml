@@ -8,7 +8,8 @@
    ones and `fpga-debug fuzz --seed N` a replay command.
 
    Classification compares four runs of the same harness (the primary
-   kernel defaults to event-driven; `--kernel lowered` swaps it):
+   kernel defaults to the production event kernel; `--kernel brute`
+   pits the oracle against itself):
 
      primary kernel  vs  brute-force kernel      (scheduling differential)
      primary kernel  vs  primary + telemetry on  (observer differential)

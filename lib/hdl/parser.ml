@@ -566,16 +566,18 @@ let parse_module_def st : Ast.module_def =
     done;
     expect_punct st ")");
   expect_punct st ";";
-  let decls = ref (List.rev !port_decls) in
+  (* items accumulate newest first and are reversed once at the end,
+     keeping parsing linear in the number of module items *)
+  let decls = ref !port_decls in
   let assigns = ref [] in
   let always_blocks = ref [] in
   let instances = ref [] in
   while not (accept_keyword st "endmodule") do
     match parse_item st with
-    | Idecl ds -> decls := !decls @ ds
-    | Iassign asgns -> assigns := !assigns @ asgns
-    | Ialways a -> always_blocks := !always_blocks @ [ a ]
-    | Iinstance i -> instances := !instances @ [ i ]
+    | Idecl ds -> decls := List.rev_append ds !decls
+    | Iassign asgns -> assigns := List.rev_append asgns !assigns
+    | Ialways a -> always_blocks := a :: !always_blocks
+    | Iinstance i -> instances := i :: !instances
     | Inothing -> ()
   done;
   {
@@ -583,10 +585,10 @@ let parse_module_def st : Ast.module_def =
     ports = List.rev !ports;
     params = List.rev st.params;
     localparams = List.rev st.localparams;
-    decls = !decls;
-    assigns = !assigns;
-    always_blocks = !always_blocks;
-    instances = !instances;
+    decls = List.rev !decls;
+    assigns = List.rev !assigns;
+    always_blocks = List.rev !always_blocks;
+    instances = List.rev !instances;
   }
 
 let parse_design src : Ast.design =

@@ -6,7 +6,7 @@ module Simulator = Fpga_sim.Simulator
 module Telemetry = Fpga_telemetry.Telemetry
 
 (* Lowered-kernel profile: static lowering shape + runtime skip/commit
-   behaviour, present only when the run used a lowered variant. *)
+   behaviour, present only when the run used the event kernel. *)
 type lowered_profile = {
   lp_stats : Fpga_sim.Lowered.stats;
   lp_runs : Fpga_sim.Lowered.run_stats;
@@ -20,7 +20,7 @@ type t = {
   p_cycles_run : int;
   p_finished : bool;
   p_stats : Simulator.stats;
-  p_efficiency : float;
+  p_efficiency : float option;
   p_lowered : lowered_profile option;
   p_hottest : (string * int) list;
   p_spans : (string * int * float) list;
@@ -56,13 +56,8 @@ let run ?kernel ?(cycles = 200) ?(buffer = 8192) ?(top_k = 10) (bug : Bug.t) :
     Telemetry.span "elaborate" (fun () ->
         Fpga_sim.Elaborate.elaborate design ~top:bug.Bug.top)
   in
-  (* [Simulator.create] records the "compile" span itself; an omitted
-     [kernel] keeps its automatic plan-shape selection *)
-  let sim =
-    match kernel with
-    | Some kernel -> Simulator.create ~kernel flat
-    | None -> Simulator.create flat
-  in
+  (* [Simulator.create] records the "compile" span itself *)
+  let sim = Simulator.create ?kernel flat in
   let i = ref 0 in
   while !i < cycles && not (Simulator.finished sim) do
     List.iter
@@ -85,7 +80,7 @@ let run ?kernel ?(cycles = 200) ?(buffer = 8192) ?(top_k = 10) (bug : Bug.t) :
     p_cycles_run = !i;
     p_finished = Simulator.finished sim;
     p_stats = stats;
-    p_efficiency = Option.value (Simulator.kernel_efficiency sim) ~default:1.0;
+    p_efficiency = Simulator.kernel_efficiency sim;
     p_lowered =
       (match (Simulator.lowering_stats sim, Simulator.lowered_run_stats sim) with
       | Some lp_stats, Some lp_runs -> Some { lp_stats; lp_runs }
@@ -108,7 +103,7 @@ let to_json (p : t) : string =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let st = p.p_stats in
   let hist = st.Simulator.st_settle_hist in
-  add "{\n  \"schema\": \"fpga-debug-profile/2\",\n";
+  add "{\n  \"schema\": \"fpga-debug-profile/3\",\n";
   add "  \"bug\": %S, \"top\": %S, \"kernel\": %S,\n" p.p_bug_id p.p_top
     p.p_kernel;
   add "  \"cycles_requested\": %d, \"cycles_run\": %d, \"finished\": %b,\n"
@@ -128,15 +123,18 @@ let to_json (p : t) : string =
        \"nodes_skipped\": %d,\n"
     st.Simulator.st_node_rounds st.Simulator.st_nodes_evaluated
     st.Simulator.st_nodes_skipped;
-  add "    \"kernel_efficiency\": %.4f,\n" p.p_efficiency;
+  add "    \"kernel_efficiency\": %s,\n"
+    (match p.p_efficiency with
+    | Some e -> Printf.sprintf "%.4f" e
+    | None -> "null");
   add "    \"dirty_total\": %d, \"dirty_peak\": %d,\n"
     st.Simulator.st_dirty_total st.Simulator.st_dirty_peak;
   add "    \"nba_commits\": %d, \"prim_steps\": %d, \"displays\": %d\n"
     st.Simulator.st_nba_commits st.Simulator.st_prim_steps
     st.Simulator.st_displays;
   add "  },\n";
-  (* schema /2: per-kernel efficiency of the lowered variants — closure
-     skip rate and commit-buffer occupancy; absent for event/brute *)
+  (* closure skip rate and commit-buffer occupancy of the event kernel;
+     absent for brute *)
   (match p.p_lowered with
   | None -> ()
   | Some { lp_stats = lw; lp_runs = r } ->
@@ -153,8 +151,8 @@ let to_json (p : t) : string =
           /. float_of_int r.L.rs_edges
       in
       add "  \"lowered\": {\n";
-      add "    \"dirty\": %b, \"closures\": %d, \"fused\": %d,\n" lw.L.lw_dirty
-        lw.L.lw_closures lw.L.lw_fused;
+      add "    \"closures\": %d, \"fused\": %d,\n" lw.L.lw_closures
+        lw.L.lw_fused;
       add "    \"imm_signals\": %d, \"boxed_signals\": %d, \"seq_blocks\": %d,\n"
         lw.L.lw_imm lw.L.lw_boxed lw.L.lw_seq;
       add "    \"settles\": %d, \"closures_run\": %d, \"closures_skipped\": %d,\n"
@@ -217,8 +215,11 @@ let print (p : t) =
   Printf.printf "  node rounds        %8d\n" st.Simulator.st_node_rounds;
   Printf.printf "  nodes evaluated    %8d\n" st.Simulator.st_nodes_evaluated;
   Printf.printf "  nodes skipped      %8d\n" st.Simulator.st_nodes_skipped;
-  Printf.printf "  kernel efficiency  %8.1f%% of full-sweep work\n"
-    (100.0 *. p.p_efficiency);
+  (match p.p_efficiency with
+  | Some e ->
+      Printf.printf "  kernel efficiency  %8.1f%% of full-sweep work\n"
+        (100.0 *. e)
+  | None -> Printf.printf "  kernel efficiency       n/a (empty combinational plan)\n");
   Printf.printf "  dirty-set peak     %8d\n" st.Simulator.st_dirty_peak;
   Printf.printf "  NBA commits        %8d\n" st.Simulator.st_nba_commits;
   Printf.printf "  primitive steps    %8d\n" st.Simulator.st_prim_steps;
@@ -233,8 +234,7 @@ let print (p : t) =
   | None -> ()
   | Some { lp_stats = lw; lp_runs = r } ->
       let module L = Fpga_sim.Lowered in
-      Printf.printf "\nlowered kernel%s:\n"
-        (if lw.L.lw_dirty then " (dirty-set)" else "");
+      Printf.printf "\nlowered closures:\n";
       Printf.printf "  plan closures      %8d  (%d fused)\n" lw.L.lw_closures
         lw.L.lw_fused;
       Printf.printf "  seq blocks         %8d\n" lw.L.lw_seq;

@@ -1,4 +1,5 @@
-(* Lowered closure-array settle kernel.
+(* Lowered closure-array settle kernel: the simulator's production
+   ([Event_driven]) kernel.
 
    [Compiled] removed name resolution from the hot path but still walks
    an ADT tree per node evaluation: every expression node is a
@@ -10,7 +11,10 @@
    and every signal narrow enough for a native int — width <= 63 —
    lives unboxed in a dense [int array] bank, masked on write. The
    limb-based [Bits] path remains for wide vectors and memories, and as
-   the fallback on mixed-width operations.
+   the fallback on mixed-width operations. Closures are scheduled by
+   change: a per-closure dirty bit, set through a closure-level
+   sensitivity index whenever a write changes a value, decides which
+   closures a settle runs.
 
    Semantics are bit-identical to [Compiled.eval_ctx] /
    [Simulator.exec_stmt]: the same Verilog context-width rules, the
@@ -18,13 +22,13 @@
    non-blocking commit ordering (including dropped writes, which still
    count toward commit statistics), the same display gating, and the
    same change-detection points so per-signal toggle counts match the
-   other kernels exactly. Conditional/logical operators are compiled to
-   short-circuit form; expression evaluation is pure, so this is
-   unobservable.
+   brute-force kernel exactly. Conditional/logical operators are
+   compiled to short-circuit form; expression evaluation is pure, so
+   this is unobservable.
 
-   The reference evaluator stays the oracle: the three-way differential
-   tests in test_sim.ml hold this kernel byte-identical to the event
-   and brute-force kernels on every testbed design. *)
+   The brute-force interpreter over [Compiled] stays the oracle: the
+   differential tests in test_sim.ml hold this kernel byte-identical to
+   it on every testbed design. *)
 
 module Ast = Fpga_hdl.Ast
 module Bits = Fpga_bits.Bits
@@ -39,12 +43,11 @@ type stats = {
   lw_imm : int;  (* signals in the immediate int bank *)
   lw_boxed : int;  (* signals kept in limb form (wide vecs + mems) *)
   lw_seq : int;  (* sequential always-blocks lowered to closures *)
-  lw_dirty : bool;  (* dirty-set (worklist) scheduling enabled *)
 }
 
 (* Run counters, maintained unconditionally (a handful of int stores
    per settle/commit, never per node): the skip-rate and commit-buffer
-   numbers profile and trace report for the lowered kernels. *)
+   numbers profile and trace report. *)
 type run_stats = {
   mutable rs_settles : int;
   mutable rs_closures_run : int;
@@ -62,10 +65,14 @@ type pend =
   | Pmask of int * int * int  (* id, insert mask, pre-shifted pattern *)
   | Pboxed of Compiled.cwrite
 
-(* Dirty-set execution mode, mirroring the event kernel's adaptive
-   machinery: [Lsparse] walks only dirty closures, [Ldense] is the
-   plain full sweep (no flag traffic) while nearly every closure fires
-   anyway, with change counting to detect when activity drops. *)
+(* Adaptive execution mode. [Lsparse] walks only dirty closures. On
+   plans where nearly every closure fires every settle (a fully-active
+   pipeline) the flag traffic costs more than the evaluations it
+   saves, so the kernel falls back to [Ldense]: the plain full sweep
+   with no flag reads or clears, counting value changes so it can
+   switch back when activity drops. Transitions are hysteretic and
+   depend only on evaluation/change counts, so instrumented and
+   uninstrumented runs take identical mode trajectories. *)
 type lmode = Lsparse | Ldense
 
 type t = {
@@ -74,9 +81,8 @@ type t = {
   imm : bool array;  (* which ids live in the immediate bank *)
   widths : int array;
   finished : bool ref;  (* shared with the simulator's $finish flag *)
-  dirty_on : bool;  (* Lowered_dirty: closure-level worklist scheduling *)
   mutable notify : int -> unit;  (* composed: dirty marking + external *)
-  mutable ext_notify : int -> unit;  (* simulator's callback (toggles) *)
+  ext_notify : int -> unit;  (* simulator's callback (toggles) *)
   (* flat NBA commit buffer: (id, insert mask, pre-shifted pattern)
      int triples for immediate targets — no allocation per deferred
      write; boxed/memory/dropped writes overflow into [pboxed] *)
@@ -88,7 +94,7 @@ type t = {
   mutable plan : (unit -> unit) array;  (* fused comb closures, topo order *)
   mutable seq_pos : (unit -> unit) array;  (* posedge blocks, source order *)
   mutable seq_neg : (unit -> unit) array;  (* negedge blocks, source order *)
-  (* dirty-set state (allocated only when [dirty_on]) *)
+  (* dirty-set state, filled in once the plan is fused *)
   mutable csens : int list array;  (* signal id -> reading closure indices *)
   mutable cdirty : bool array;  (* per-closure pending flag *)
   mutable ncdirty : int;
@@ -735,16 +741,12 @@ let lower_node st = function
   | Lblock ss -> lseq st ~in_comb:true ss
 
 (* ------------------------------------------------------------------ *)
-(* Construction                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* Dirty-set scheduling                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Same adaptive thresholds as the event kernel: enter the dense sweep
-   once >= 3/4 of the plan ran in a settle for 8 settles in a row, drop
-   back to sparse once <= 1/4 of the plan changed value for 8 sweeps. *)
+(* Enter the dense sweep once >= 3/4 of the plan ran in a settle for 8
+   settles in a row, drop back to sparse once <= 1/4 of the plan
+   changed value for 8 sweeps. *)
 let dense_enter_num = 3
 let dense_enter_den = 4
 let dense_exit_num = 1
@@ -767,14 +769,12 @@ let mark_all_flags st =
   st.ncdirty <- Array.length st.cdirty
 
 (* Recompose [st.notify] from mode + external callback. Closures read
-   [st.notify] at call time, so rewiring mid-run is safe (the event
-   kernel relies on the same property in [Simulator.wire_notify]).
-   With an empty comb plan there is nothing the dirty bits could ever
-   skip, so writes bypass the marking wrapper entirely — sequential-only
-   designs must not pay for machinery that cannot help them. *)
+   [st.notify] at call time, so rewiring mid-run is safe. With an empty
+   comb plan there is nothing the dirty bits could ever skip, so writes
+   bypass the marking wrapper entirely — sequential-only designs must
+   not pay for machinery that cannot help them. *)
 let rewire st =
-  if (not st.dirty_on) || Array.length st.plan = 0 then
-    st.notify <- st.ext_notify
+  if Array.length st.plan = 0 then st.notify <- st.ext_notify
   else
     let ext = st.ext_notify in
     match st.lmode with
@@ -788,35 +788,29 @@ let rewire st =
            exit test's reset wipes anything counted between settles),
            so keep the bare external notify installed and let [settle]
            swap [dense_mark] in just around the sweep — sequential
-           commits then cost exactly what the plain kernel pays *)
+           commits then cost exactly what a plain full sweep pays *)
         st.dense_mark <-
           (fun i ->
             ext i;
             st.lchanges <- st.lchanges + 1);
         st.notify <- ext
 
-let set_notify st f =
-  st.ext_notify <- f;
-  rewire st
-
 (* Full scheduling reset (checkpoint restore): drop back to the sparse
-   worklist with everything pending, exactly as [Simulator.restore]
-   does for the event kernel, so a restored run re-derives the mode
-   trajectory from activity alone. No-op for the plain kernel. *)
+   worklist with everything pending, so a restored run re-derives the
+   mode trajectory from activity alone. *)
 let mark_all st =
-  if st.dirty_on then (
-    st.lmode <- Lsparse;
-    st.lmode_streak <- 0;
-    rewire st;
-    mark_all_flags st)
+  st.lmode <- Lsparse;
+  st.lmode_streak <- 0;
+  rewire st;
+  mark_all_flags st
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
-    ~(nodes : node array) ~(fuse : bool array) ~(sens : int list array)
-    ~(display_ranks : int list) ~(dirty : bool)
+    ~(notify : int -> unit) ~(nodes : node array) ~(fuse : bool array)
+    ~(sens : int list array) ~(display_ranks : int list)
     ~(seq : (Elaborate.clock_edge * Compiled.cstmt list) list) : t =
   let n = Compiled.n_signals tab in
   let ints = Array.make n 0 in
@@ -835,9 +829,8 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
       imm;
       widths;
       finished;
-      dirty_on = dirty;
-      notify = ignore;
-      ext_notify = ignore;
+      notify;
+      ext_notify = notify;
       pb = [||];
       pb_len = 0;
       pboxed = [];
@@ -862,7 +855,6 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
           lw_imm = n_imm;
           lw_boxed = n - n_imm;
           lw_seq = List.length seq;
-          lw_dirty = dirty;
         };
       runs =
         {
@@ -907,17 +899,15 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
   in
   st.seq_pos <- lower_edge Elaborate.Pos;
   st.seq_neg <- lower_edge Elaborate.Neg;
-  if dirty then (
-    let nclosures = Array.length st.plan in
-    st.cdirty <- Array.make (max nclosures 1) true;
-    st.ncdirty <- nclosures;
-    st.csens <-
-      Array.map
-        (fun ranks ->
-          List.sort_uniq compare (List.map (fun r -> cidx.(r)) ranks))
-        sens;
-    st.disp_closures <-
-      List.sort_uniq compare (List.map (fun r -> cidx.(r)) display_ranks));
+  let nclosures = Array.length st.plan in
+  st.cdirty <- Array.make (max nclosures 1) true;
+  st.ncdirty <- nclosures;
+  st.csens <-
+    Array.map
+      (fun ranks -> List.sort_uniq compare (List.map (fun r -> cidx.(r)) ranks))
+      sens;
+  st.disp_closures <-
+    List.sort_uniq compare (List.map (fun r -> cidx.(r)) display_ranks);
   rewire st;
   st.stats <-
     { st.stats with lw_closures = Array.length st.plan; lw_fused = !nfused };
@@ -937,68 +927,64 @@ let sweep st =
   n
 
 (* One settle pass. Returns the number of closures evaluated (the whole
-   plan for the plain kernel and for dense-mode sweeps). Dirty flags
-   set during the pass (by writes this settle performs) stay pending
-   for the next settle — same monotone-convergence argument as the
-   event kernel's sparse loop: the simulator keeps settling until a
-   pass reports no work. *)
+   plan for dense-mode sweeps). Rank order is topological order, so
+   every producer runs before its consumers; a closure marking an
+   earlier-or-equal closure (a self-dependency the cycle check admits)
+   stays dirty for the next settle, matching the once-per-sweep full
+   plan. *)
 let settle st ~displays =
   st.displays <- displays;
   let r = st.runs in
   r.rs_settles <- r.rs_settles + 1;
-  if not st.dirty_on then (
-    let n = sweep st in
-    r.rs_closures_run <- r.rs_closures_run + n;
-    n)
-  else
-    match st.lmode with
-    | Ldense ->
-        st.lchanges <- 0;
-        st.notify <- st.dense_mark;
-        let n = sweep st in
-        st.notify <- st.ext_notify;
-        r.rs_closures_run <- r.rs_closures_run + n;
-        if dense_exit_den * st.lchanges <= dense_exit_num * n then (
-          st.lmode_streak <- st.lmode_streak + 1;
-          if st.lmode_streak >= mode_streak_len then
-            (* activity dropped: back to sparse; flags are stale after
-               dense sweeps, so re-mark everything once *)
-            mark_all st)
-        else st.lmode_streak <- 0;
-        n
-    | Lsparse ->
-        (* $display side effects must fire even when inputs are stable,
-           exactly like the event kernel's display-rank forcing *)
-        if displays then mark_closures st st.disp_closures;
-        let plan = st.plan in
-        let n = Array.length plan in
-        let evaluated = ref 0 in
-        if st.ncdirty > 0 then (
-          let cdirty = st.cdirty in
-          for c = 0 to n - 1 do
-            if cdirty.(c) then (
-              cdirty.(c) <- false;
-              st.ncdirty <- st.ncdirty - 1;
-              incr evaluated;
-              plan.(c) ())
-          done);
-        let ev = !evaluated in
-        r.rs_closures_run <- r.rs_closures_run + ev;
-        r.rs_closures_skipped <- r.rs_closures_skipped + (n - ev);
-        (* an empty settle is sparse operating at zero cost — it says
-           nothing about how dense the actual work is, so it leaves the
-           streak alone; only a busy-but-not-dense settle resets it.
-           Without this, designs whose activity arrives every other
-           settle (pure sequential commits marking a handful of
-           closures) could never accumulate a streak. *)
-        if n > 0 && dense_enter_den * ev >= dense_enter_num * n then (
-          st.lmode_streak <- st.lmode_streak + 1;
-          if st.lmode_streak >= mode_streak_len then (
-            st.lmode <- Ldense;
-            st.lmode_streak <- 0;
-            rewire st))
-        else if ev > 0 then st.lmode_streak <- 0;
-        ev
+  match st.lmode with
+  | Ldense ->
+      st.lchanges <- 0;
+      st.notify <- st.dense_mark;
+      let n = sweep st in
+      st.notify <- st.ext_notify;
+      r.rs_closures_run <- r.rs_closures_run + n;
+      if dense_exit_den * st.lchanges <= dense_exit_num * n then (
+        st.lmode_streak <- st.lmode_streak + 1;
+        if st.lmode_streak >= mode_streak_len then
+          (* activity dropped: back to sparse; flags are stale after
+             dense sweeps, so re-mark everything once *)
+          mark_all st)
+      else st.lmode_streak <- 0;
+      n
+  | Lsparse ->
+      (* a $display must fire on every display-enabled settle its
+         block is reached, exactly as in the full sweep, even when no
+         input changed - force those closures onto the worklist *)
+      if displays then mark_closures st st.disp_closures;
+      let plan = st.plan in
+      let n = Array.length plan in
+      let evaluated = ref 0 in
+      if st.ncdirty > 0 then (
+        let cdirty = st.cdirty in
+        for c = 0 to n - 1 do
+          if cdirty.(c) then (
+            cdirty.(c) <- false;
+            st.ncdirty <- st.ncdirty - 1;
+            incr evaluated;
+            plan.(c) ())
+        done);
+      let ev = !evaluated in
+      r.rs_closures_run <- r.rs_closures_run + ev;
+      r.rs_closures_skipped <- r.rs_closures_skipped + (n - ev);
+      (* an empty settle is sparse operating at zero cost — it says
+         nothing about how dense the actual work is, so it leaves the
+         streak alone; only a busy-but-not-dense settle resets it.
+         Without this, designs whose activity arrives every other
+         settle (pure sequential commits marking a handful of
+         closures) could never accumulate a streak. *)
+      if n > 0 && dense_enter_den * ev >= dense_enter_num * n then (
+        st.lmode_streak <- st.lmode_streak + 1;
+        if st.lmode_streak >= mode_streak_len then (
+          st.lmode <- Ldense;
+          st.lmode_streak <- 0;
+          rewire st))
+      else if ev > 0 then st.lmode_streak <- 0;
+      ev
 
 let run_edge st edge =
   let arr = match edge with Elaborate.Pos -> st.seq_pos | Elaborate.Neg -> st.seq_neg in
@@ -1073,9 +1059,8 @@ let run_stats st = st.runs
 let plan_size st = Array.length st.plan
 
 (* Closures currently pending: the sparse worklist size, or the whole
-   plan when not skipping (dense sweeps and the plain kernel evaluate
-   everything). *)
+   plan in dense mode (dense sweeps evaluate everything). *)
 let dirty_count st =
-  if st.dirty_on && st.lmode = Lsparse then st.ncdirty else Array.length st.plan
+  if st.lmode = Lsparse then st.ncdirty else Array.length st.plan
 
-let dense st = st.dirty_on && st.lmode = Ldense
+let dense st = st.lmode = Ldense

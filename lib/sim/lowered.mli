@@ -1,4 +1,5 @@
-(** Lowered closure-array settle kernel.
+(** Lowered closure-array settle kernel — the simulator's production
+    ({!Simulator.Event_driven}) kernel.
 
     Lowers the id-resolved compiled plan ({!Compiled}) one level
     further at simulator construction: each combinational node becomes
@@ -11,19 +12,18 @@
     with non-blocking writes deferred into a flat int-triple commit
     buffer (boxed/memory targets overflow into a side list).
 
-    With [dirty = true] the kernel additionally schedules closures by
-    a per-closure dirty worklist fed from a closure-level sensitivity
-    index (the event kernel's change-driven skipping composed with
-    closure-array dispatch), with the same adaptive sparse/dense
-    hysteresis as the event kernel so fully-active plans pay no flag
-    traffic.
+    Closures are scheduled by a per-closure dirty worklist fed from a
+    closure-level sensitivity index, so a settle runs only closures
+    whose inputs changed. An adaptive sparse/dense hysteresis switches
+    to a plain full sweep while nearly every closure fires anyway, so
+    fully-active plans pay no flag traffic.
 
     Semantics are bit-identical to the reference executor: same width
     rules, same out-of-range index handling, same non-blocking commit
     ordering (dropped writes included, so commit statistics match),
     same display gating and change-detection points (toggle counts
-    match the other kernels). Managed by {!Simulator}; not a public
-    entry point. *)
+    match the brute-force kernel). Managed by {!Simulator}; not a
+    public entry point. *)
 
 type stats = {
   lw_nodes : int;  (** combinational nodes lowered *)
@@ -32,7 +32,6 @@ type stats = {
   lw_imm : int;  (** signals held in the immediate int bank *)
   lw_boxed : int;  (** signals kept in limb form (wide vecs + mems) *)
   lw_seq : int;  (** sequential always-blocks lowered to closures *)
-  lw_dirty : bool;  (** dirty-set (worklist) scheduling enabled *)
 }
 
 (** Runtime counters, maintained unconditionally (a handful of int
@@ -57,21 +56,22 @@ val create :
   tab:Compiled.tab ->
   env:Compiled.env ->
   finished:bool ref ->
+  notify:(int -> unit) ->
   nodes:node array ->
   fuse:bool array ->
   sens:int list array ->
   display_ranks:int list ->
-  dirty:bool ->
   seq:(Elaborate.clock_edge * Compiled.cstmt list) list ->
   t
 (** [fuse.(r)] marks a node to be folded into its predecessor's closure
     (legal only for single-reader assign chains — the caller proves
     it); [finished] is shared with the simulator's $finish flag and
-    checked before every lowered statement. Immediate-bank values are
-    seeded from [env]. [sens] maps signal id to the ranks of reading
-    nodes and [display_ranks] lists ranks of comb blocks containing
-    [$display]; both are lifted to the closure level when [dirty] is
-    set (and ignored otherwise). *)
+    checked before every lowered statement. [notify] is the external
+    change callback (toggle counting under telemetry); dirty marking is
+    composed on top internally. Immediate-bank values are seeded from
+    [env]. [sens] maps signal id to the ranks of reading nodes and
+    [display_ranks] lists ranks of comb blocks containing [$display];
+    both are lifted to the closure level. *)
 
 (** {1 Execution} *)
 
@@ -79,9 +79,9 @@ val settle : t -> displays:bool -> int
 (** One settle pass over the fused plan in topological order; returns
     the number of closures evaluated (the whole plan unless dirty-set
     scheduling skipped some). [displays] gates combinational
-    [$display]s, as in the reference settle; under dirty scheduling,
-    display closures are forced onto the worklist for display-enabled
-    settles so logs stay identical. *)
+    [$display]s, as in the reference settle; display closures are
+    forced onto the worklist for display-enabled settles so logs stay
+    identical. *)
 
 val run_edge : t -> Elaborate.clock_edge -> unit
 (** Run the sequential blocks for one clock edge; non-blocking writes
@@ -101,15 +101,14 @@ val commit : t -> unit
 
 val mark_all : t -> unit
 (** Reset the dirty scheduler: back to the sparse worklist with every
-    closure pending (checkpoint restore). No-op unless [dirty]. *)
+    closure pending (checkpoint restore). *)
 
 val dirty_count : t -> int
 (** Closures currently pending: the sparse worklist size, or the whole
-    plan when not skipping (dense mode and the plain kernel). *)
+    plan in dense mode. *)
 
 val dense : t -> bool
-(** Whether dirty scheduling is currently in the dense full-sweep
-    mode. Always [false] for the plain kernel. *)
+(** Whether the scheduler is currently in the dense full-sweep mode. *)
 
 val plan_size : t -> int
 (** Number of closures in the fused settle plan. *)
@@ -133,10 +132,6 @@ val input_fn : t -> Compiled.cexpr -> unit -> Fpga_bits.Bits.t
 
 val set_emit : t -> (string -> unit) -> unit
 (** Wire the [$display] sink (the simulator's log/telemetry path). *)
-
-val set_notify : t -> (int -> unit) -> unit
-(** Wire the external change callback (toggle counting under
-    telemetry); dirty marking is composed on top internally. *)
 
 val stats : t -> stats
 val run_stats : t -> run_stats

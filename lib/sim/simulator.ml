@@ -11,24 +11,19 @@
         during this final settle.
 
    Combinational nodes are topologically ordered at construction;
-   combinational cycles raise [Combinational_cycle].
+   combinational cycles raise [Combinational_cycle]. All executable code
+   is compiled at construction into the interned form of [Compiled]:
+   signal references become dense integer ids and widths are
+   pre-resolved, so the per-cycle hot path performs no string hashing
+   or name resolution.
 
-   All executable code is compiled at construction into the interned
-   form of [Compiled]: signal references become dense integer ids into a
-   [value array] and widths are pre-resolved, so the per-cycle hot path
-   performs no string hashing or name resolution. The sensitivity map
-   and the dirty-set notify path run on ids too.
-
-   Settling is event-driven by default: a sensitivity map (signal id ->
-   reading nodes) is built at construction, every write is
-   change-detected, and a settle only re-evaluates nodes whose inputs
-   actually changed since they last ran, in topological rank order.
-   Because node evaluation is a pure function of the environment, the
-   event-driven schedule produces exactly the state the brute-force
-   full-plan sweep would; nodes containing $display are forced onto the
-   dirty set during display-enabled settles so logs stay identical too.
-   The [Brute_force] kernel keeps the seed full-sweep behavior as a
-   differential-testing reference. *)
+   Two kernels settle the plan. [Event_driven], the production kernel,
+   hands the compiled plan to [Lowered]: fused closures over an unboxed
+   int bank, scheduled by per-closure dirty bits fed from a sensitivity
+   map, with an adaptive dense full-sweep mode for fully-active plans.
+   [Brute_force] interprets the compiled plan in full on every settle;
+   it is deliberately simple and serves as the oracle the differential
+   tests, campaigns and the fuzzer hold the production kernel to. *)
 
 module Ast = Fpga_hdl.Ast
 module Bits = Fpga_bits.Bits
@@ -37,61 +32,13 @@ open Elaborate
 
 exception Combinational_cycle of string list
 
-type kernel = Event_driven | Brute_force | Lowered | Lowered_dirty
+type kernel = Event_driven | Brute_force
 
-let kernel_name = function
-  | Event_driven -> "event"
-  | Brute_force -> "brute"
-  | Lowered -> "lowered"
-  | Lowered_dirty -> "lowered-dirty"
-
-let kernel_of_string = function
-  | "event" -> Some Event_driven
-  | "brute" | "brute-force" -> Some Brute_force
-  | "lowered" -> Some Lowered
-  | "lowered-dirty" | "lowered_dirty" -> Some Lowered_dirty
-  | _ -> None
-
-(* Auto-selection threshold, kept as a guard against pathological plan
-   sizes where construction-time lowering cost (one closure tree per
-   node) could outweigh its benefit. Within the bound the dirty lowered
-   kernel dominates: it has the lowered kernel's closure dispatch and
-   the event kernel's change-driven skipping, and its adaptive dense
-   mode degenerates to the plain sweep on fully-active plans. *)
-let auto_lowered_max_nodes = 4096
-
-let auto_kernel ~comb_nodes =
-  if comb_nodes <= auto_lowered_max_nodes then Lowered_dirty else Event_driven
-
-(* The event-driven kernel's adaptive execution mode. [Sparse] is the
-   dirty-set schedule. On designs where nearly every node fires every
-   cycle (a fully-active pipeline like D8), the dirty-set bookkeeping
-   costs more than the evaluations it saves, so the kernel falls back
-   to [Dense]: a rank-ordered full scan with no flag reads or clears -
-   exactly the brute-force sweep, but it keeps counting how many writes
-   actually change a value so it can switch back when activity drops.
-   Transitions are hysteretic (a streak of consecutive settles must
-   agree) and depend only on dirty/changed counts, so instrumented and
-   uninstrumented runs take identical mode trajectories. *)
-type mode = Sparse | Dense
-
-(* enter Dense when a sparse settle ends up evaluating >= 3/4 of the
-   plan anyway (cascades included), leave when <= 1/4 of a dense
-   sweep's evaluations change anything; 8 consecutive settles either
-   way *)
-let dense_enter_num = 3
-let dense_enter_den = 4
-let dense_exit_num = 1
-let dense_exit_den = 4
-let mode_streak_len = 8
+let kernel_name = function Event_driven -> "event" | Brute_force -> "brute"
 
 (* AST-level node, used only for dependency analysis (reads/writes are
-   name sets); execution uses the compiled [comb_node] form. *)
+   name sets); execution uses the compiled [Lowered.node] form. *)
 type ast_node = Aassign of Ast.lvalue * Ast.expr | Ablock of Ast.stmt list
-
-type comb_node =
-  | Cassign of Compiled.clvalue * Compiled.cexpr * int  (* ctx width *)
-  | Cblock of Compiled.cstmt list
 
 type fifo_state = {
   f_depth : int;
@@ -123,7 +70,9 @@ type prim_state =
 type istats = {
   mutable s_steps : int;
   mutable s_settles : int;
-  mutable s_node_rounds : int;  (* nodes considered: settles * plan size *)
+  mutable s_node_rounds : int;
+      (* settles * plan size: nodes under brute, fused closures under
+         the event kernel *)
   mutable s_nodes_evaluated : int;
   mutable s_dirty_total : int;  (* sum of dirty-set sizes at settle entry *)
   mutable s_dirty_peak : int;
@@ -144,23 +93,21 @@ type istats = {
   s_bus_drop0 : int;
 }
 
+(* The machinery behind a kernel: the production kernel's lowered
+   closures, or the oracle's compiled plan and sequential blocks. *)
+type engine =
+  | Event of Lowered.t
+  | Brute of {
+      nodes : Lowered.node array;  (* topological order: writers before readers *)
+      seq : (Elaborate.clock_edge * Compiled.cstmt list) list;
+    }
+
 type t = {
   flat : flat;
-  tab : Compiled.tab;
   env : Compiled.env;  (* signal values indexed by dense id *)
-  kernel : kernel;
-  nodes : comb_node array;  (* topological order: writers before readers *)
-  sens : int list array;  (* signal id -> ranks of reading nodes *)
-  display_nodes : int list;  (* ranks of nodes containing $display *)
-  dirty : bool array;  (* per-rank pending-re-evaluation flag *)
-  mutable ndirty : int;
-  mutable mode : mode;  (* event-driven only; brute force ignores it *)
-  mutable mode_streak : int;  (* consecutive settles meeting the switch test *)
-  mutable nchanges : int;  (* value-changing writes during a dense sweep *)
-  mutable notify : int -> unit;  (* change callback wired to [mark_signal] *)
-  seq : (Elaborate.clock_edge * Compiled.cstmt list) list;
+  engine : engine;
+  notify : int -> unit;  (* change callback: toggle counting or [ignore] *)
   prims : prim_state list;
-  low : Lowered.t option;  (* present iff [kernel] is a lowered variant *)
   mutable cycle : int;
   finished : bool ref;  (* shared with the lowered kernel's $finish *)
   mutable log : (int * string) list;  (* newest first *)
@@ -172,64 +119,6 @@ type t = {
   mutable step_hooks : (int -> unit) list;  (* registration order *)
   stats : istats option;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Dirty-set bookkeeping                                               *)
-(* ------------------------------------------------------------------ *)
-
-let mark_rank sim r =
-  if not sim.dirty.(r) then (
-    sim.dirty.(r) <- true;
-    sim.ndirty <- sim.ndirty + 1)
-
-(* top-level recursion instead of [List.iter (mark_rank sim)]: the
-   partial application would allocate a closure on every single write *)
-let rec mark_ranks sim = function
-  | [] -> ()
-  | r :: tl ->
-      mark_rank sim r;
-      mark_ranks sim tl
-
-let mark_signal sim i = mark_ranks sim sim.sens.(i)
-
-let mark_all sim =
-  Array.fill sim.dirty 0 (Array.length sim.dirty) true;
-  sim.ndirty <- Array.length sim.dirty
-
-(* The notify wiring is decided per (kernel, mode, stats) so each
-   configuration pays only for what it uses: the uninstrumented sparse
-   path runs the exact pre-telemetry change callback, the dense path
-   does no dirty marking at all (everything runs anyway) and just
-   counts value changes for the mode-exit test. *)
-let wire_notify sim =
-  (match (sim.kernel, sim.mode, sim.stats) with
-  | (Brute_force | Lowered | Lowered_dirty), _, None -> sim.notify <- ignore
-  | (Brute_force | Lowered | Lowered_dirty), _, Some st ->
-      sim.notify <- (fun i -> st.s_toggles.(i) <- st.s_toggles.(i) + 1)
-  (* no combinational plan, nothing to mark: purely sequential designs
-     (D4, D8) must not pay any event-kernel change-tracking at all *)
-  | Event_driven, _, None when Array.length sim.nodes = 0 ->
-      sim.notify <- ignore
-  | Event_driven, _, Some st when Array.length sim.nodes = 0 ->
-      sim.notify <- (fun i -> st.s_toggles.(i) <- st.s_toggles.(i) + 1)
-  | Event_driven, Sparse, None -> sim.notify <- mark_signal sim
-  | Event_driven, Sparse, Some st ->
-      sim.notify <-
-        (fun i ->
-          st.s_toggles.(i) <- st.s_toggles.(i) + 1;
-          mark_signal sim i)
-  | Event_driven, Dense, None ->
-      sim.notify <- (fun _ -> sim.nchanges <- sim.nchanges + 1)
-  | Event_driven, Dense, Some st ->
-      sim.notify <-
-        (fun i ->
-          st.s_toggles.(i) <- st.s_toggles.(i) + 1;
-          sim.nchanges <- sim.nchanges + 1));
-  (* the lowered kernel holds its own copy of the callback; keep it in
-     lock-step so toggle counts match the other kernels *)
-  match sim.low with
-  | Some low -> Lowered.set_notify low sim.notify
-  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Combinational scheduling                                            *)
@@ -290,7 +179,7 @@ let topo_sort (nodes : ast_node list) : ast_node list =
   List.map (fun i -> arr.(i)) !order
 
 (* ------------------------------------------------------------------ *)
-(* Statement interpretation                                            *)
+(* Statement interpretation (the brute-force oracle)                   *)
 (* ------------------------------------------------------------------ *)
 
 type exec_ctx = {
@@ -300,7 +189,7 @@ type exec_ctx = {
   displays_enabled : bool;
 }
 
-(* The $display sink, shared by every kernel: log, stats, telemetry
+(* The $display sink, shared by both kernels: log, stats, telemetry
    bus, hook. Reads the cycle counter at emission time. *)
 let emit_text sim text =
   sim.log <- (sim.cycle, text) :: sim.log;
@@ -406,9 +295,9 @@ let write_sig sim i value =
   match sim.env.(i) with
   | Compiled.Mem _ -> ()
   | Compiled.Vec old -> (
-      match sim.low with
-      | Some low -> Lowered.write_vec low i value
-      | None ->
+      match sim.engine with
+      | Event low -> Lowered.write_vec low i value
+      | Brute _ ->
           let value = Bits.resize value (Bits.width old) in
           if not (Bits.equal old value) then (
             sim.env.(i) <- Compiled.Vec value;
@@ -490,23 +379,12 @@ let rec stmt_has_display (s : Ast.stmt) =
 let compile_node tab = function
   | Aassign (l, e) ->
       let cl = Compiled.compile_lvalue tab l in
-      Cassign (cl, Compiled.compile_expr tab e, Compiled.clvalue_width cl)
-  | Ablock stmts -> Cblock (List.map (Compiled.compile_stmt tab) stmts)
+      Lowered.Lassign (cl, Compiled.compile_expr tab e, Compiled.clvalue_width cl)
+  | Ablock stmts -> Lowered.Lblock (List.map (Compiled.compile_stmt tab) stmts)
 
-let create ?kernel (flat : flat) : t =
-  Telemetry.span "compile" @@ fun () ->
-  let tab = Compiled.of_flat flat in
-  let env = Compiled.fresh_env flat in
-  let node_list =
-    List.map (fun (l, e) -> Aassign (l, e)) flat.f_assigns
-    @ List.map (fun b -> Ablock b) flat.f_comb
-  in
-  let ast_nodes = Array.of_list (topo_sort node_list) in
-  let nodes = Array.map (compile_node tab) ast_nodes in
+(* Build the production kernel over the topologically sorted plan. *)
+let lower ~tab ~env ~finished ~notify (flat : flat) ast_nodes nodes seq =
   let n = Array.length nodes in
-  let kernel =
-    match kernel with Some k -> k | None -> auto_kernel ~comb_nodes:n
-  in
   (* sensitivity map on ids: every signal a node reads wakes that node *)
   let sens = Array.make (Array.length flat.f_signal_order) [] in
   Array.iteri
@@ -518,76 +396,50 @@ let create ?kernel (flat : flat) : t =
           | None -> ())
         (node_reads node))
     ast_nodes;
-  let display_nodes =
-    Array.to_list
-      (Array.mapi
-         (fun rank node ->
-           match node with
-           | Ablock stmts when List.exists stmt_has_display stmts -> Some rank
-           | _ -> None)
-         ast_nodes)
-    |> List.filter_map Fun.id
+  (* ranks of comb blocks containing $display, which must fire on every
+     display-enabled settle even when no input changed *)
+  let display_ranks =
+    List.filter
+      (fun rank ->
+        match ast_nodes.(rank) with
+        | Ablock stmts -> List.exists stmt_has_display stmts
+        | Aassign _ -> false)
+      (List.init n Fun.id)
   in
+  (* single-reader assign chains fuse into one closure: when node r-1 is
+     a plain assign whose sole written signal feeds exactly one node and
+     that node is r, the pair always runs back to back in the full
+     sweep, so folding them is behavior-preserving and halves the
+     plan-iteration overhead on long chains *)
+  let fuse = Array.make (max n 1) false in
+  for r = 1 to n - 1 do
+    match ast_nodes.(r - 1) with
+    | Aassign (l, _) -> (
+        match Ast.lvalue_bases l with
+        | [ s ] -> (
+            match Hashtbl.find_opt flat.f_signal_ids s with
+            | Some i -> if sens.(i) = [ r ] then fuse.(r) <- true
+            | None -> ())
+        | _ -> ())
+    | Ablock _ -> ()
+  done;
+  Lowered.create ~tab ~env ~finished ~notify ~nodes ~fuse ~sens ~display_ranks
+    ~seq
+
+let create ?(kernel = Event_driven) (flat : flat) : t =
+  Telemetry.span "compile" @@ fun () ->
+  let tab = Compiled.of_flat flat in
+  let env = Compiled.fresh_env flat in
+  let node_list =
+    List.map (fun (l, e) -> Aassign (l, e)) flat.f_assigns
+    @ List.map (fun b -> Ablock b) flat.f_comb
+  in
+  let ast_nodes = Array.of_list (topo_sort node_list) in
+  let nodes = Array.map (compile_node tab) ast_nodes in
   let seq =
     List.map
       (fun (e, _clk, body) -> (e, List.map (Compiled.compile_stmt tab) body))
       flat.f_seq
-  in
-  let finished = ref false in
-  let low =
-    let lowered = match kernel with Lowered | Lowered_dirty -> true | _ -> false in
-    if not lowered then None
-    else begin
-      (* single-reader assign chains fuse into one closure: when node
-         r-1 is a plain assign whose sole written signal feeds exactly
-         one node and that node is r, the pair always runs back to back
-         in the full sweep, so folding them is behavior-preserving and
-         halves the plan-iteration overhead on long chains *)
-      let fuse = Array.make (max n 1) false in
-      for r = 1 to n - 1 do
-        match ast_nodes.(r - 1) with
-        | Aassign (l, _) -> (
-            match Ast.lvalue_bases l with
-            | [ s ] -> (
-                match Hashtbl.find_opt flat.f_signal_ids s with
-                | Some i -> if sens.(i) = [ r ] then fuse.(r) <- true
-                | None -> ())
-            | _ -> ())
-        | Ablock _ -> ()
-      done;
-      let lnodes =
-        Array.map
-          (function
-            | Cassign (l, e, cw) -> Lowered.Lassign (l, e, cw)
-            | Cblock ss -> Lowered.Lblock ss)
-          nodes
-      in
-      Some
-        (Lowered.create ~tab ~env ~finished ~nodes:lnodes ~fuse ~sens
-           ~display_ranks:display_nodes ~dirty:(kernel = Lowered_dirty) ~seq)
-    end
-  in
-  let input_closure ce =
-    match low with
-    | Some lw -> Lowered.input_fn lw ce
-    | None -> fun () -> Compiled.eval env ce
-  in
-  let prims =
-    List.map
-      (fun (p : fprim) ->
-        let cp =
-          {
-            cp_src = p;
-            cp_inputs =
-              List.map
-                (fun (f, e) -> (f, input_closure (Compiled.compile_expr tab e)))
-                p.fp_inputs;
-            cp_outputs =
-              List.map (fun (f, s) -> (f, Compiled.id tab s)) p.fp_outputs;
-          }
-        in
-        make_prim_state cp)
-      flat.f_prims
   in
   let stats =
     (* structured tracing samples its counter series off [istats], so a
@@ -615,158 +467,98 @@ let create ?kernel (flat : flat) : t =
         }
     else None
   in
-  let sim =
-    { flat; tab; env; kernel; nodes; sens; display_nodes;
-      dirty = Array.make n true; ndirty = n;
-      mode = Sparse; mode_streak = 0; nchanges = 0;
-      notify = ignore; seq; prims; low;
-      cycle = 0; finished; log = []; log_len = 0;
-      log_memo = (0, []); display_hook = None; step_hooks = []; stats }
+  let notify =
+    match stats with
+    | None -> ignore
+    | Some st -> fun i -> st.s_toggles.(i) <- st.s_toggles.(i) + 1
   in
-  wire_notify sim;
-  Option.iter (fun lw -> Lowered.set_emit lw (emit_text sim)) low;
-  (* initial primitive outputs so the first settle sees them; every node
-     starts dirty, so the first settle evaluates the full plan *)
+  let finished = ref false in
+  let engine =
+    match kernel with
+    | Event_driven ->
+        Event (lower ~tab ~env ~finished ~notify flat ast_nodes nodes seq)
+    | Brute_force -> Brute { nodes; seq }
+  in
+  let input_closure ce =
+    match engine with
+    | Event low -> Lowered.input_fn low ce
+    | Brute _ -> fun () -> Compiled.eval env ce
+  in
+  let prims =
+    List.map
+      (fun (p : fprim) ->
+        let cp =
+          {
+            cp_src = p;
+            cp_inputs =
+              List.map
+                (fun (f, e) -> (f, input_closure (Compiled.compile_expr tab e)))
+                p.fp_inputs;
+            cp_outputs =
+              List.map (fun (f, s) -> (f, Compiled.id tab s)) p.fp_outputs;
+          }
+        in
+        make_prim_state cp)
+      flat.f_prims
+  in
+  let sim =
+    { flat; env; engine; notify; prims; cycle = 0; finished; log = [];
+      log_len = 0; log_memo = (0, []); display_hook = None; step_hooks = [];
+      stats }
+  in
+  (match engine with Event low -> Lowered.set_emit low (emit_text sim) | Brute _ -> ());
+  (* initial primitive outputs so the first settle sees them; every
+     closure starts dirty, so the first settle evaluates the full plan *)
   List.iter (drive_prim_outputs sim) prims;
   sim
 
-let exec_node ctx node =
+let exec_node ctx (node : Lowered.node) =
   match node with
-  | Cassign (l, e, cw) ->
+  | Lowered.Lassign (l, e, cw) ->
       let v = Compiled.eval_ctx ctx.sim.env ~ctx:cw e in
       Compiled.write_notify ctx.sim.env ~notify:ctx.sim.notify l v
-  | Cblock stmts -> List.iter (exec_stmt ctx) stmts
-
-(* Full-sweep settle statistics for the brute-force kernel: every node
-   counts as considered, evaluated, and dirty. *)
-let full_sweep_stats sim =
-  match sim.stats with
-  | None -> ()
-  | Some st ->
-      let n = Array.length sim.nodes in
-      st.s_settles <- st.s_settles + 1;
-      st.s_node_rounds <- st.s_node_rounds + n;
-      st.s_nodes_evaluated <- st.s_nodes_evaluated + n;
-      st.s_dirty_total <- st.s_dirty_total + n;
-      if n > st.s_dirty_peak then st.s_dirty_peak <- n;
-      Telemetry.Histogram.observe st.s_settle_hist n
+  | Lowered.Lblock stmts -> List.iter (exec_stmt ctx) stmts
 
 let settle ?(displays = false) (sim : t) =
-  match sim.kernel with
-  | Lowered | Lowered_dirty -> (
-      match sim.low with
-      | Some low -> (
-          match sim.stats with
-          | None -> ignore (Lowered.settle low ~displays)
-          | Some st ->
-              (* lowered kernels count in fused closures, not nodes:
-                 that is the unit the plan actually iterates, so
-                 evaluated/rounds is an honest skip rate. Dirty size is
-                 read at settle entry (display forcing happens inside). *)
-              let n = Lowered.plan_size low in
-              let pre = Lowered.dirty_count low in
-              let ev = Lowered.settle low ~displays in
-              st.s_settles <- st.s_settles + 1;
-              st.s_node_rounds <- st.s_node_rounds + n;
-              st.s_nodes_evaluated <- st.s_nodes_evaluated + ev;
-              st.s_dirty_total <- st.s_dirty_total + pre;
-              if pre > st.s_dirty_peak then st.s_dirty_peak <- pre;
-              Telemetry.Histogram.observe st.s_settle_hist ev)
-      | None -> assert false)
-  | Brute_force ->
-      full_sweep_stats sim;
+  match sim.engine with
+  | Event low -> (
+      match sim.stats with
+      | None -> ignore (Lowered.settle low ~displays)
+      | Some st ->
+          (* counts are in fused closures, not nodes: that is the unit
+             the plan actually iterates, so evaluated/rounds is an
+             honest skip rate. Dirty size is read at settle entry
+             (display forcing happens inside). *)
+          let n = Lowered.plan_size low in
+          let pre = Lowered.dirty_count low in
+          let ev = Lowered.settle low ~displays in
+          st.s_settles <- st.s_settles + 1;
+          st.s_node_rounds <- st.s_node_rounds + n;
+          st.s_nodes_evaluated <- st.s_nodes_evaluated + ev;
+          st.s_dirty_total <- st.s_dirty_total + pre;
+          if pre > st.s_dirty_peak then st.s_dirty_peak <- pre;
+          Telemetry.Histogram.observe st.s_settle_hist ev)
+  | Brute { nodes; _ } ->
+      (* every node counts as considered, evaluated, and dirty *)
+      (match sim.stats with
+      | None -> ()
+      | Some st ->
+          let n = Array.length nodes in
+          st.s_settles <- st.s_settles + 1;
+          st.s_node_rounds <- st.s_node_rounds + n;
+          st.s_nodes_evaluated <- st.s_nodes_evaluated + n;
+          st.s_dirty_total <- st.s_dirty_total + n;
+          if n > st.s_dirty_peak then st.s_dirty_peak <- n;
+          Telemetry.Histogram.observe st.s_settle_hist n);
       let ctx =
         { sim; pending = []; in_comb_phase = true; displays_enabled = displays }
       in
-      Array.iter (exec_node ctx) sim.nodes
-  | Event_driven -> (
-      let ctx =
-        { sim; pending = []; in_comb_phase = true; displays_enabled = displays }
-      in
-      let n = Array.length sim.nodes in
-      match sim.mode with
-      | Dense ->
-          (* rank-ordered full scan, identical to the brute-force sweep:
-             no flag reads, no clears, no display forcing (display nodes
-             are in the plan). The notify callback counts value-changing
-             writes so the exit test below can detect a quiet design. *)
-          sim.nchanges <- 0;
-          (match sim.stats with
-          | None -> ()
-          | Some st ->
-              st.s_settles <- st.s_settles + 1;
-              st.s_node_rounds <- st.s_node_rounds + n;
-              st.s_nodes_evaluated <- st.s_nodes_evaluated + n;
-              st.s_dirty_total <- st.s_dirty_total + n;
-              if n > st.s_dirty_peak then st.s_dirty_peak <- n;
-              Telemetry.Histogram.observe st.s_settle_hist n);
-          Array.iter (exec_node ctx) sim.nodes;
-          (* Dense -> Sparse test, at exit *)
-          if dense_exit_den * sim.nchanges <= dense_exit_num * n then (
-            sim.mode_streak <- sim.mode_streak + 1;
-            if sim.mode_streak >= mode_streak_len then (
-              sim.mode <- Sparse;
-              sim.mode_streak <- 0;
-              wire_notify sim;
-              (* re-enter sparse with everything dirty: the flags went
-                 stale while dense mode skipped marking. The superset is
-                 safe - re-evaluating a clean pure node is a no-op - and
-                 the next settles shrink the set through change
-                 detection as usual. *)
-              mark_all sim))
-          else sim.mode_streak <- 0
-      | Sparse -> (
-          (* a $display must fire on every display-enabled settle its
-             block is reached, exactly as in the full sweep, even when no
-             input changed - force those nodes onto the dirty set *)
-          if displays then List.iter (mark_rank sim) sim.display_nodes;
-          (* rank order = topological order, so every producer runs before
-             its consumers; a node marking an earlier-or-equal rank (a
-             self-dependency the cycle check admits) stays dirty for the
-             next settle, matching the once-per-sweep full plan *)
-          let evaluated = ref 0 in
-          (match sim.stats with
-          | None ->
-              if sim.ndirty > 0 then
-                for r = 0 to n - 1 do
-                  if sim.dirty.(r) then (
-                    sim.dirty.(r) <- false;
-                    sim.ndirty <- sim.ndirty - 1;
-                    incr evaluated;
-                    exec_node ctx sim.nodes.(r))
-                done
-          | Some st ->
-              (* instrumented copy of the loop above: the disabled path
-                 pays only the local [evaluated] increment the mode test
-                 needs, never a stats-record write *)
-              st.s_settles <- st.s_settles + 1;
-              st.s_node_rounds <- st.s_node_rounds + n;
-              st.s_dirty_total <- st.s_dirty_total + sim.ndirty;
-              if sim.ndirty > st.s_dirty_peak then
-                st.s_dirty_peak <- sim.ndirty;
-              if sim.ndirty > 0 then
-                for r = 0 to n - 1 do
-                  if sim.dirty.(r) then (
-                    sim.dirty.(r) <- false;
-                    sim.ndirty <- sim.ndirty - 1;
-                    incr evaluated;
-                    exec_node ctx sim.nodes.(r))
-                done;
-              st.s_nodes_evaluated <- st.s_nodes_evaluated + !evaluated;
-              Telemetry.Histogram.observe st.s_settle_hist !evaluated);
-          (* Sparse -> Dense test, at exit: when nearly the whole plan
-             ran anyway (cascades included), the per-node flag traffic
-             was pure overhead. The test reads only the evaluation
-             count, never [stats], so instrumented and uninstrumented
-             runs take identical mode trajectories. *)
-          if n > 0 && dense_enter_den * !evaluated >= dense_enter_num * n
-          then (
-            sim.mode_streak <- sim.mode_streak + 1;
-            if sim.mode_streak >= mode_streak_len then (
-              sim.mode <- Dense;
-              sim.mode_streak <- 0;
-              wire_notify sim))
-          else sim.mode_streak <- 0))
+      Array.iter (exec_node ctx) nodes
+
+let lowered sim = match sim.engine with Event low -> Some low | Brute _ -> None
+
+let dense_mode sim =
+  match sim.engine with Event low -> Lowered.dense low | Brute _ -> false
 
 (* Public accessors stay name-keyed: one id lookup per call, then array
    reads/writes. *)
@@ -795,7 +587,7 @@ let read sim name =
   | Some i -> (
       match sim.env.(i) with
       | Compiled.Vec b -> (
-          match sim.low with Some low -> Lowered.read_vec low i | None -> b)
+          match sim.engine with Event low -> Lowered.read_vec low i | Brute _ -> b)
       | Compiled.Mem _ ->
           invalid_arg (Printf.sprintf "Simulator.read: %s is a memory" name))
   | None -> invalid_arg (Printf.sprintf "Simulator.read: unknown %s" name)
@@ -814,8 +606,8 @@ let read_memory sim name =
 (* Run the sequential blocks firing on one clock edge and commit their
    non-blocking writes. *)
 let edge_phase (sim : t) (edge : Elaborate.clock_edge) ~with_prims =
-  match sim.low with
-  | Some low ->
+  match sim.engine with
+  | Event low ->
       Lowered.run_edge low edge;
       if with_prims then List.iter step_prim sim.prims;
       (match sim.stats with
@@ -826,13 +618,13 @@ let edge_phase (sim : t) (edge : Elaborate.clock_edge) ~with_prims =
             st.s_prim_steps <- st.s_prim_steps + List.length sim.prims);
       Lowered.commit low;
       if with_prims then List.iter (drive_prim_outputs sim) sim.prims
-  | None ->
+  | Brute { seq; _ } ->
       let ctx =
         { sim; pending = []; in_comb_phase = false; displays_enabled = true }
       in
       List.iter
         (fun (e, body) -> if e = edge then List.iter (exec_stmt ctx) body)
-        sim.seq;
+        seq;
       if with_prims then List.iter step_prim sim.prims;
       (match sim.stats with
       | None -> ()
@@ -891,16 +683,12 @@ let step (sim : t) =
           if Telemetry.Trace.enabled () then (
             let b = Telemetry.bus () in
             Telemetry.Trace.counter "sim.dirty"
-              (match sim.low with
-              | Some low -> Lowered.dirty_count low
-              | None -> sim.ndirty);
+              (match sim.engine with
+              | Event low -> Lowered.dirty_count low
+              | Brute { nodes; _ } -> Array.length nodes);
             Telemetry.Trace.counter "sim.evaluated" delta;
             Telemetry.Trace.counter "sim.dense"
-              (if
-                 (sim.kernel = Event_driven && sim.mode = Dense)
-                 || match sim.low with Some low -> Lowered.dense low | None -> false
-               then 1
-               else 0);
+              (if dense_mode sim then 1 else 0);
             Telemetry.Trace.counter "bus.published"
               (Telemetry.Bus.published b - st.s_bus_pub0);
             Telemetry.Trace.counter "bus.dropped"
@@ -929,8 +717,8 @@ let log sim =
 
 let cycle sim = sim.cycle
 let finished sim = !(sim.finished)
-let kernel sim = sim.kernel
-let lowering_stats sim = Option.map Lowered.stats sim.low
+let kernel sim = match sim.engine with Event _ -> Event_driven | Brute _ -> Brute_force
+let lowering_stats sim = Option.map Lowered.stats (lowered sim)
 let on_display sim f = sim.display_hook <- Some f
 let on_step sim f = sim.step_hooks <- sim.step_hooks @ [ f ]
 
@@ -970,11 +758,7 @@ let stats sim =
       })
     sim.stats
 
-let dense_mode sim =
-  (sim.kernel = Event_driven && sim.mode = Dense)
-  || match sim.low with Some low -> Lowered.dense low | None -> false
-
-let lowered_run_stats sim = Option.map Lowered.run_stats sim.low
+let lowered_run_stats sim = Option.map Lowered.run_stats (lowered sim)
 
 let kernel_efficiency sim =
   match sim.stats with
@@ -1020,7 +804,7 @@ let sig_value sim i =
   match sim.env.(i) with
   | Compiled.Vec b ->
       Eval.Vec
-        (match sim.low with Some low -> Lowered.read_vec low i | None -> b)
+        (match sim.engine with Event low -> Lowered.read_vec low i | Brute _ -> b)
   | Compiled.Mem a -> Eval.Mem (Array.copy a)
 
 let checkpoint (sim : t) : checkpoint =
@@ -1056,9 +840,9 @@ let checkpoint (sim : t) : checkpoint =
 let restore_sig sim i v =
   match v with
   | Eval.Vec b -> (
-      match sim.low with
-      | Some low -> Lowered.set_vec_raw low i b
-      | None -> sim.env.(i) <- Compiled.Vec b)
+      match sim.engine with
+      | Event low -> Lowered.set_vec_raw low i b
+      | Brute _ -> sim.env.(i) <- Compiled.Vec b)
   | Eval.Mem a -> sim.env.(i) <- Compiled.Mem (Array.copy a)
 
 let restore (sim : t) (snap : checkpoint) : unit =
@@ -1102,11 +886,7 @@ let restore (sim : t) (snap : checkpoint) : unit =
   sim.log_memo <- (-1, []);
   (* the whole environment may have changed: drop back to sparse with
      everything dirty and let activity re-derive the mode *)
-  sim.mode <- Sparse;
-  sim.mode_streak <- 0;
-  wire_notify sim;
-  mark_all sim;
-  Option.iter Lowered.mark_all sim.low
+  Option.iter Lowered.mark_all (lowered sim)
 
 (* ------------------------------------------------------------------ *)
 (* Serializable checkpoints                                            *)
@@ -1227,11 +1007,7 @@ let restore_checkpoint (sim : t) (ck : Checkpoint.t) : unit =
   sim.log <- List.rev ck.Checkpoint.ck_log;
   sim.log_len <- List.length ck.Checkpoint.ck_log;
   sim.log_memo <- (-1, []);
-  sim.mode <- Sparse;
-  sim.mode_streak <- 0;
-  wire_notify sim;
-  mark_all sim;
-  Option.iter Lowered.mark_all sim.low;
+  Option.iter Lowered.mark_all (lowered sim);
   (* primitive outputs must reflect the restored contents before the
      next settle, exactly as [create] does for the initial state *)
   List.iter (drive_prim_outputs sim) sim.prims

@@ -14,20 +14,24 @@
     fires on every [step], which matches the single-clock subset the
     testbed uses (dcfifo instances have both clocks tied).
 
-    Combinational settling is {e event-driven} by default: a
-    sensitivity map (signal -> reading nodes) is built at construction,
-    every write is change-detected, and each settle re-evaluates only
-    the nodes whose inputs actually changed, in topological rank order.
-    This preserves the exact cycle-level semantics of the full sweep
-    (including the once-per-final-settle firing of combinational
-    [$display] statements) while skipping quiescent logic entirely.
+    Two kernels settle the combinational plan. The production kernel,
+    {!Event_driven}, compiles the plan into fused closures over an
+    unboxed int bank ({!Lowered}) and settles it {e event-driven}: a
+    sensitivity map (signal -> reading closures) is built at
+    construction, every write is change-detected, and each settle
+    re-runs only the closures whose inputs changed, in topological
+    order. This preserves the exact cycle-level semantics of the full
+    sweep (including the once-per-final-settle firing of combinational
+    [$display] statements) while skipping quiescent logic entirely. On
+    plans where nearly every closure fires every cycle, the kernel
+    adaptively falls back to a plain full sweep ({e dense mode}) while
+    activity stays high; see {!dense_mode}. Mode switches never change
+    simulation results.
 
-    On designs where nearly every node fires every cycle, dirty-set
-    bookkeeping costs more than the evaluations it saves, so the
-    event-driven kernel adaptively falls back to a rank-ordered full
-    scan ({e dense mode}) while the dirty fraction stays high and
-    returns to sparse scheduling when activity drops; see
-    {!dense_mode}. Mode switches never change simulation results. *)
+    {!Brute_force} interprets the whole compiled plan on every settle.
+    It is deliberately simple and slow: the oracle that the
+    differential tests, campaigns and the fuzzer hold the production
+    kernel to. *)
 
 exception Combinational_cycle of string list
 (** Raised at construction when continuous assignments / combinational
@@ -35,43 +39,25 @@ exception Combinational_cycle of string list
 
 type kernel =
   | Event_driven
-      (** dirty-set scheduling over the sensitivity map *)
+      (** the production kernel: fused closures ({!Lowered}) scheduled
+          by per-closure dirty bits, with the adaptive dense fallback *)
   | Brute_force
-      (** re-evaluate the full topological plan on every settle — the
-          seed behavior, kept as a differential-testing reference *)
-  | Lowered
-      (** closure-array kernel: each comb node compiled once into a
-          fused [unit -> unit] closure, narrow signals unboxed in a
-          dense int bank ({!Lowered}); sweeps the full fused plan every
-          settle *)
-  | Lowered_dirty
-      (** the closure-array kernel composed with event-style skipping:
-          per-closure dirty bits fed from a closure-level sensitivity
-          index, with the event kernel's adaptive sparse/dense
-          hysteresis, so idle plans skip and fully-active plans pay no
-          flag traffic *)
+      (** re-interpret the full topological plan on every settle — the
+          reference oracle for differential testing *)
 
 val kernel_name : kernel -> string
-(** ["event"], ["brute"], ["lowered"], or ["lowered-dirty"] — the CLI
-    spelling. *)
-
-val kernel_of_string : string -> kernel option
-(** Inverse of {!kernel_name} (also accepts ["brute-force"] and
-    ["lowered_dirty"]). *)
+(** ["event"] or ["brute"] — the CLI spelling. *)
 
 type t
 
 val create : ?kernel:kernel -> Elaborate.flat -> t
 (** Build a simulator with all registers at their declared initial
-    values (zero by default) and primitive outputs settled. When
-    [kernel] is omitted it is selected automatically from the plan
-    shape: {!Lowered_dirty} for any design whose combinational plan
-    fits the lowering budget (every current testbed design),
-    {!Event_driven} for very large plans. All kernels produce
-    byte-identical traces. *)
+    values (zero by default) and primitive outputs settled. [kernel]
+    defaults to {!Event_driven}, whatever the plan size. Both kernels
+    produce byte-identical traces. *)
 
 val kernel : t -> kernel
-(** The kernel this simulator was built with (after auto-selection). *)
+(** The kernel this simulator was built with. *)
 
 val step : t -> unit
 (** Advance one clock cycle. No-op once the design executed [$finish]. *)
@@ -143,28 +129,27 @@ val stats : t -> stats option
 (** [None] when telemetry was disabled at construction. *)
 
 val dense_mode : t -> bool
-(** True while the event-driven or dirty-lowered kernel is in its dense
-    full-scan fallback (always false for {!Brute_force} and plain
-    {!Lowered}). Exposed for tests and profiling; mode switches never
-    change simulation results. *)
+(** True while the {!Event_driven} kernel is in its dense full-sweep
+    fallback (always false for {!Brute_force}). Exposed for tests and
+    profiling; mode switches never change simulation results. *)
 
 val lowering_stats : t -> Lowered.stats option
-(** Closure/representation counts from the lowering pass; [None] unless
-    the kernel is a lowered variant. Always available (not
-    telemetry-gated) — the numbers are static facts of the compiled
-    plan. *)
+(** Closure/representation counts from the lowering pass; [None] for
+    {!Brute_force}. Always available (not telemetry-gated) — the
+    numbers are static facts of the compiled plan. *)
 
 val lowered_run_stats : t -> Lowered.run_stats option
-(** Runtime counters of the lowered kernels (closures run/skipped,
-    commit-buffer occupancy); [None] unless the kernel is a lowered
-    variant. Always maintained (a few int stores per settle, never per
-    node), so available even without telemetry. *)
+(** Runtime counters of the {!Event_driven} kernel (closures
+    run/skipped, commit-buffer occupancy); [None] for {!Brute_force}.
+    Always maintained (a few int stores per settle, never per node),
+    so available even without telemetry. *)
 
 val kernel_efficiency : t -> float option
 (** [st_nodes_evaluated / st_node_rounds] — the fraction of full-sweep
     work the kernel actually performed (1.0 for {!Brute_force}; for
-    lowered kernels both counts are in fused closures). [None] when
-    telemetry is off or nothing ran. *)
+    {!Event_driven} both counts are in fused closures). [None] when
+    telemetry is off or no combinational work was considered (an empty
+    plan, or no settle yet), rather than a vacuous 100%. *)
 
 val toggle_counts : t -> (string * int) list
 (** Per-signal change counts (every change-detected write that took
@@ -209,5 +194,5 @@ val restore_checkpoint : t -> Checkpoint.t -> unit
     signature, a signal's width/shape, or a primitive's geometry does
     not match — a checkpoint can never be silently restored into a
     different design. The event-driven kernel restarts in sparse mode
-    with every node dirty (a conservative superset that re-derives the
+    with every closure dirty (a conservative superset that re-derives the
     schedule without affecting results). *)

@@ -6,8 +6,8 @@ module Bits = Fpga_bits.Bits
 
 type t = {
   buf : Buffer.t;
-  signals : (string * string * int) list;  (* name, id code, width *)
-  mutable last : (string * Bits.t) list;
+  signals : (string * string * int) array;  (* name, id code, width *)
+  last : Bits.t option array;  (* last dumped value, by signal position *)
   mutable header_done : bool;
 }
 
@@ -29,15 +29,21 @@ let create (flat : Elaborate.flat) : t =
       flat.f_signals []
     |> List.sort compare
     |> List.mapi (fun i (name, w) -> (name, id_code i, w))
+    |> Array.of_list
   in
-  { buf = Buffer.create 4096; signals; last = []; header_done = false }
+  {
+    buf = Buffer.create 4096;
+    signals;
+    last = Array.make (Array.length signals) None;
+    header_done = false;
+  }
 
 let write_header t =
   Buffer.add_string t.buf "$date reproduction run $end\n";
   Buffer.add_string t.buf "$version fpga-debug simulator $end\n";
   Buffer.add_string t.buf "$timescale 1ns $end\n";
   Buffer.add_string t.buf "$scope module top $end\n";
-  List.iter
+  Array.iter
     (fun (name, id, w) ->
       (* '/'-separated hierarchy is flattened into escaped names *)
       let safe = String.map (fun c -> if c = '/' then '.' else c) name in
@@ -54,18 +60,18 @@ let value_str v w id =
 let sample t (sim : Simulator.t) =
   if not t.header_done then write_header t;
   Buffer.add_string t.buf (Printf.sprintf "#%d\n" (Simulator.cycle sim));
-  List.iter
-    (fun (name, id, w) ->
+  Array.iteri
+    (fun k (name, id, w) ->
       let v = Simulator.read sim name in
       let changed =
-        match List.assoc_opt name t.last with
+        match t.last.(k) with
         | Some prev -> not (Bits.equal prev v)
         | None -> true
       in
       if changed then (
         Buffer.add_string t.buf (value_str v w id);
         Buffer.add_char t.buf '\n';
-        t.last <- (name, v) :: List.remove_assoc name t.last))
+        t.last.(k) <- Some v))
     t.signals
 
 let contents t =

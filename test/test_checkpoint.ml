@@ -165,13 +165,7 @@ let prop_replay_deterministic =
     QCheck2.Gen.(
       triple
         (oneofl property_bugs)
-        (oneofl
-           [
-             Simulator.Event_driven;
-             Simulator.Brute_force;
-             Simulator.Lowered;
-             Simulator.Lowered_dirty;
-           ])
+        (oneofl [ Simulator.Event_driven; Simulator.Brute_force ])
         (int_range 5 60))
     (fun (id, kernel, every) ->
       replay_matches_straight ~kernel ~every (bug id))
@@ -183,18 +177,13 @@ let test_replay_d2_both_kernels () =
     (fun kernel ->
       check_bool "D2 deterministic" true
         (replay_matches_straight ~kernel ~every:50 (bug "D2")))
-    [
-      Simulator.Event_driven;
-      Simulator.Brute_force;
-      Simulator.Lowered;
-      Simulator.Lowered_dirty;
-    ]
+    [ Simulator.Event_driven; Simulator.Brute_force ]
 
 (* Checkpoints are kernel-agnostic: a snapshot taken under one settle
    kernel restores into a simulator built with another, and the
    continued run is byte-identical to that kernel's straight run. This
-   is what lets a lowered-kernel campaign hand a checkpoint to an
-   event-driven debug session (and back). *)
+   is what lets an event-kernel campaign hand a checkpoint to a
+   brute-force debug session (and back). *)
 let test_checkpoint_crosses_kernels () =
   let cross ~record_kernel ~replay_kernel (b : Bug.t) =
     let rc = Replay.record ~kernel:record_kernel ~every:10 b in
@@ -224,18 +213,10 @@ let test_checkpoint_crosses_kernels () =
   List.iter
     (fun id ->
       let b = bug id in
-      cross ~record_kernel:Simulator.Lowered
-        ~replay_kernel:Simulator.Event_driven b;
       cross ~record_kernel:Simulator.Event_driven
-        ~replay_kernel:Simulator.Lowered b;
-      cross ~record_kernel:Simulator.Lowered
         ~replay_kernel:Simulator.Brute_force b;
-      cross ~record_kernel:Simulator.Lowered_dirty
-        ~replay_kernel:Simulator.Event_driven b;
-      cross ~record_kernel:Simulator.Event_driven
-        ~replay_kernel:Simulator.Lowered_dirty b;
-      cross ~record_kernel:Simulator.Lowered_dirty
-        ~replay_kernel:Simulator.Lowered b)
+      cross ~record_kernel:Simulator.Brute_force
+        ~replay_kernel:Simulator.Event_driven b)
     [ "D2"; "C4" ]
 
 (* --- bisection ------------------------------------------------------- *)

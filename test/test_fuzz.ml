@@ -223,45 +223,14 @@ let test_identity_no_divergence () =
             (Fuzz.outcome_name o) (Fuzz.outcome_detail o))
     Registry.all
 
-(* Same null hypothesis with the lowered kernel as the primary side of
-   the differential: lowered vs brute-force and lowered vs
-   lowered-instrumented must also be silent on every fuzz target. *)
-let test_identity_lowered_primary () =
-  List.iter
-    (fun (bug : Bug.t) ->
-      match
-        Fuzz.classify_identity ~kernel:Fpga_sim.Simulator.Lowered bug
-      with
-      | Fuzz.Equivalent -> ()
-      | o ->
-          Alcotest.failf "%s: lowered identity classified %s (%s)" bug.Bug.id
-            (Fuzz.outcome_name o) (Fuzz.outcome_detail o))
-    Fuzz.targets
-
-(* Same again with the dirty lowered kernel — worklist scheduling plus
-   the flat NBA commit buffer must be invisible to the differential on
-   every fuzz target. *)
-let test_identity_lowered_dirty_primary () =
-  List.iter
-    (fun (bug : Bug.t) ->
-      match
-        Fuzz.classify_identity ~kernel:Fpga_sim.Simulator.Lowered_dirty bug
-      with
-      | Fuzz.Equivalent -> ()
-      | o ->
-          Alcotest.failf "%s: lowered-dirty identity classified %s (%s)"
-            bug.Bug.id (Fuzz.outcome_name o) (Fuzz.outcome_detail o))
-    Fuzz.targets
-
-(* The CI fuzz-smoke gate in miniature, under the dirty lowered kernel:
-   200 mutants, every valid one a lowered-dirty vs brute-force
-   differential, zero mismatches, and byte-identical JSON across pool
-   widths (the dirty scheduler's mode trajectory must not leak into
-   results). *)
-let test_fuzz_smoke_lowered_dirty () =
-  let kernel = Fpga_sim.Simulator.Lowered_dirty in
+(* The CI fuzz-smoke gate in miniature, under the event kernel: 200
+   mutants, every valid one an event vs brute-force differential, zero
+   mismatches, and byte-identical JSON across pool widths (the dirty
+   scheduler's mode trajectory must not leak into results). *)
+let test_fuzz_smoke_event () =
+  let kernel = Fpga_sim.Simulator.Event_driven in
   let serial = Campaign.run_fuzz ~domains:1 ~kernel ~seed:1 ~mutants:200 () in
-  check_bool "no mismatches under lowered-dirty" true
+  check_bool "no mismatches under the event kernel" true
     (Campaign.fuzz_ok serial);
   let parallel = Campaign.run_fuzz ~domains:4 ~kernel ~seed:1 ~mutants:200 () in
   check_string "fuzz JSON identical at jobs 1 vs 4"
@@ -368,18 +337,14 @@ let suite =
       test_fuzz_campaign_across_widths;
     Alcotest.test_case "identity mutants: zero divergences, full testbed"
       `Slow test_identity_no_divergence;
-    Alcotest.test_case "identity under lowered primary kernel" `Slow
-      test_identity_lowered_primary;
-    Alcotest.test_case "identity under lowered-dirty primary kernel" `Slow
-      test_identity_lowered_dirty_primary;
-    Alcotest.test_case "200-mutant fuzz smoke under lowered-dirty" `Slow
-      test_fuzz_smoke_lowered_dirty;
-    Alcotest.test_case "all 13 templates elaborate on fuzz targets" `Slow
-      test_templates_elaborate_on_targets;
+    Alcotest.test_case "200-mutant fuzz smoke under event kernel" `Slow
+      test_fuzz_smoke_event;
     Alcotest.test_case "validity gate accepts identity, rejects bad top"
       `Quick test_validity_gate_rejects;
     Alcotest.test_case "targets round-robin by index" `Quick
       test_target_round_robin;
+    Alcotest.test_case "all 13 templates elaborate on fuzz targets" `Slow
+      test_templates_elaborate_on_targets;
     Alcotest.test_case "fuzz json schema-pinned and noise-free" `Quick
       test_fuzz_json_schema;
   ]

@@ -710,49 +710,28 @@ let test_event_kernel_matches_brute_force () =
       let flat = Elaborate.elaborate design ~top:bug.Fpga_testbed.Bug.top in
       let ev = Simulator.create ~kernel:Simulator.Event_driven flat in
       let bf = Simulator.create ~kernel:Simulator.Brute_force flat in
-      let lw = Simulator.create ~kernel:Simulator.Lowered flat in
-      let ld = Simulator.create ~kernel:Simulator.Lowered_dirty flat in
       for i = 0 to 199 do
         let ins = bug.Fpga_testbed.Bug.stimulus i in
         List.iter (fun (n, v) -> Simulator.set_input ev n v) ins;
         List.iter (fun (n, v) -> Simulator.set_input bf n v) ins;
-        List.iter (fun (n, v) -> Simulator.set_input lw n v) ins;
-        List.iter (fun (n, v) -> Simulator.set_input ld n v) ins;
         Simulator.step ev;
         Simulator.step bf;
-        Simulator.step lw;
-        Simulator.step ld;
         if signal_state flat ev <> signal_state flat bf then
           Alcotest.failf "%s: event/brute signal state diverges at cycle %d"
-            id i;
-        if signal_state flat lw <> signal_state flat bf then
-          Alcotest.failf "%s: lowered/brute signal state diverges at cycle %d"
-            id i;
-        if signal_state flat ld <> signal_state flat bf then
-          Alcotest.failf
-            "%s: lowered-dirty/brute signal state diverges at cycle %d" id i
+            id i
       done;
       check_bool
         (Printf.sprintf "%s: finished flags agree" id)
         (Simulator.finished bf) (Simulator.finished ev);
-      check_bool
-        (Printf.sprintf "%s: lowered finished flag agrees" id)
-        (Simulator.finished bf) (Simulator.finished lw);
-      check_bool
-        (Printf.sprintf "%s: lowered-dirty finished flag agrees" id)
-        (Simulator.finished bf) (Simulator.finished ld);
       if Simulator.log ev <> Simulator.log bf then
-        Alcotest.failf "%s: $display log diverges" id;
-      if Simulator.log lw <> Simulator.log bf then
-        Alcotest.failf "%s: lowered $display log diverges" id;
-      if Simulator.log ld <> Simulator.log bf then
-        Alcotest.failf "%s: lowered-dirty $display log diverges" id)
+        Alcotest.failf "%s: $display log diverges" id)
     [ "D2"; "D4"; "D8"; "C4" ]
 
-(* Full-testbed four-way differential through the harness: every bug,
-   both design variants, identical reports — rows, log, flags, cycle
-   counts, and the complete VCD waveform — under all four kernels. *)
-let test_four_kernels_full_testbed () =
+(* Full-testbed differential through the harness: every bug, both
+   design variants, identical reports — rows, log, flags, cycle counts,
+   and the complete VCD waveform — under the event kernel and the
+   brute-force oracle. *)
+let test_kernels_full_testbed () =
   List.iter
     (fun (bug : Fpga_testbed.Bug.t) ->
       List.iter
@@ -762,27 +741,112 @@ let test_four_kernels_full_testbed () =
             Fpga_testbed.Bug.run_design ~vcd:true ~kernel bug design
           in
           let bf = run Simulator.Brute_force in
-          List.iter
-            (fun kernel ->
-              let r = run kernel in
-              let name = Simulator.kernel_name kernel in
-              let tag fmt =
-                Printf.sprintf fmt bug.Fpga_testbed.Bug.id name
-                  (if buggy then "buggy" else "fixed")
-              in
-              check_bool (tag "%s %s %s rows") true
-                (r.Fpga_testbed.Bug.rows = bf.Fpga_testbed.Bug.rows);
-              check_bool (tag "%s %s %s log") true
-                (r.Fpga_testbed.Bug.log = bf.Fpga_testbed.Bug.log);
-              check_bool (tag "%s %s %s vcd") true
-                (r.Fpga_testbed.Bug.vcd = bf.Fpga_testbed.Bug.vcd);
-              check_bool (tag "%s %s %s flags") true
-                (r.Fpga_testbed.Bug.stuck = bf.Fpga_testbed.Bug.stuck
-                && r.Fpga_testbed.Bug.finished = bf.Fpga_testbed.Bug.finished
-                && r.Fpga_testbed.Bug.cycles = bf.Fpga_testbed.Bug.cycles))
-            [ Simulator.Event_driven; Simulator.Lowered; Simulator.Lowered_dirty ])
+          let r = run Simulator.Event_driven in
+          let tag fmt =
+            Printf.sprintf fmt bug.Fpga_testbed.Bug.id
+              (if buggy then "buggy" else "fixed")
+          in
+          check_bool (tag "%s %s rows") true
+            (r.Fpga_testbed.Bug.rows = bf.Fpga_testbed.Bug.rows);
+          check_bool (tag "%s %s log") true
+            (r.Fpga_testbed.Bug.log = bf.Fpga_testbed.Bug.log);
+          check_bool (tag "%s %s vcd") true
+            (r.Fpga_testbed.Bug.vcd = bf.Fpga_testbed.Bug.vcd);
+          check_bool (tag "%s %s flags") true
+            (r.Fpga_testbed.Bug.stuck = bf.Fpga_testbed.Bug.stuck
+            && r.Fpga_testbed.Bug.finished = bf.Fpga_testbed.Bug.finished
+            && r.Fpga_testbed.Bug.cycles = bf.Fpga_testbed.Bug.cycles))
         [ true; false ])
     Fpga_testbed.Registry.all
+
+(* A generated ~5000-node combinational plan, past the 4096-node size
+   above which kernel selection used to fall back to the interpretive
+   scheduler: an [n]-stage chain of bijective steps (add, xor, rotate)
+   plus a tap on every third stage. The taps give those stages a second
+   reader, so fusion leaves thousands of closures for the dirty
+   scheduler, and a register splits the chain so its second half
+   changes only on clock edges. *)
+let big_chain_src n =
+  let b = Buffer.create (n * 50) in
+  let p fmt = Printf.bprintf b fmt in
+  p "module chain (input clk, input [15:0] d, output [15:0] q);\n";
+  for i = 1 to n do
+    p "  wire [15:0] w%d;\n" i;
+    if i mod 3 = 0 then p "  wire [15:0] t%d;\n" i
+  done;
+  p "  reg [15:0] mid, acc;\n  assign w1 = d ^ 16'd23130;\n";
+  for i = 2 to n do
+    let prev = if i = (n / 2) + 1 then "mid" else Printf.sprintf "w%d" (i - 1) in
+    (match i mod 4 with
+    | 0 -> p "  assign w%d = {%s[14:0], %s[15]};\n" i prev prev
+    | 2 -> p "  assign w%d = %s ^ 16'd%d;\n" i prev (i * 31 land 0xffff)
+    | _ -> p "  assign w%d = %s + 16'd%d;\n" i prev (i mod 97));
+    if i mod 3 = 0 then p "  assign t%d = w%d ^ d;\n" i i
+  done;
+  p "  assign q = w%d;\n" n;
+  p "  always @(posedge clk) begin\n    mid <= w%d;\n    acc <= acc + q;\n"
+    (n / 2);
+  p "    if (q[2:0] == 3'd5) $display(\"chain %%d acc %%d\", q, acc);\n";
+  p "  end\nendmodule\n";
+  Buffer.contents b
+
+(* Busy for the first 40 cycles, then a new input every 9th cycle. *)
+let big_chain_input c = if c < 40 || c mod 9 = 0 then (c * 7919) land 0xffff else -1
+
+(* Drive [sim] from its current cycle up to [upto], returning the
+   output rows and the VCD of that window. *)
+let run_big_chain flat sim ~upto =
+  let vcd = Vcd.create flat in
+  let rows = ref [] in
+  while Simulator.cycle sim < upto do
+    let c = Simulator.cycle sim in
+    let d = big_chain_input c in
+    if d >= 0 then Simulator.set_input_int sim "d" d;
+    Simulator.step sim;
+    Vcd.sample vcd sim;
+    rows := (c, Simulator.read_int sim "q") :: !rows
+  done;
+  (List.rev !rows, Vcd.contents vcd)
+
+let test_big_plan_matches_brute () =
+  let flat =
+    Elaborate.elaborate (Parser.parse_design (big_chain_src 3750)) ~top:"chain"
+  in
+  let ev = Simulator.create flat in
+  let bf = Simulator.create ~kernel:Simulator.Brute_force flat in
+  check_bool "default kernel is event" true
+    (Simulator.kernel ev = Simulator.Event_driven);
+  let lw = Option.get (Simulator.lowering_stats ev) in
+  check_bool "plan is past 4096 nodes" true (lw.Fpga_sim.Lowered.lw_nodes > 4096);
+  check_bool "fusion leaves thousands of closures" true
+    (lw.Fpga_sim.Lowered.lw_closures > 1000);
+  (* two windows per run, so the second can be replayed from the
+     event kernel's own checkpoint at cycle 100 *)
+  let bf_w1 = run_big_chain flat bf ~upto:100 in
+  let bf_w2 = run_big_chain flat bf ~upto:200 in
+  let ev_w1 = run_big_chain flat ev ~upto:100 in
+  let ck =
+    Fpga_sim.Checkpoint.of_string
+      (Fpga_sim.Checkpoint.to_string (Simulator.save_checkpoint ev))
+  in
+  let ev_w2 = run_big_chain flat ev ~upto:200 in
+  let same what (rows, vcd) (rows', vcd') =
+    check_bool (what ^ " rows identical") true (rows = rows');
+    check_bool (what ^ " vcd identical") true (vcd = vcd')
+  in
+  same "cycles 0-99" bf_w1 ev_w1;
+  same "cycles 100-199" bf_w2 ev_w2;
+  check_bool "log identical" true (Simulator.log ev = Simulator.log bf);
+  check_bool "log non-empty" true (Simulator.log bf <> []);
+  let rs = Option.get (Simulator.lowered_run_stats ev) in
+  check_bool "idle settles skip closures" true
+    (rs.Fpga_sim.Lowered.rs_closures_skipped > 0);
+  (* a fresh event simulator restored from the serialized checkpoint
+     continues exactly as the oracle's straight run *)
+  let ev2 = Simulator.create flat in
+  Simulator.restore_checkpoint ev2 ck;
+  same "restored cycles 100-199" bf_w2 (run_big_chain flat ev2 ~upto:200);
+  check_bool "restored log identical" true (Simulator.log ev2 = Simulator.log bf)
 
 let test_comb_display_fires_every_cycle () =
   (* a combinational $display fires once per cycle in the seed sweep
@@ -805,11 +869,8 @@ endmodule
     Simulator.log sim
   in
   let ev = run Simulator.Event_driven and bf = run Simulator.Brute_force in
-  let lw = run Simulator.Lowered and ld = run Simulator.Lowered_dirty in
   check_int "one entry per cycle" 5 (List.length ev);
-  check_bool "logs identical across kernels" true (ev = bf);
-  check_bool "lowered log identical" true (lw = bf);
-  check_bool "lowered-dirty log identical" true (ld = bf)
+  check_bool "logs identical across kernels" true (ev = bf)
 
 let test_event_kernel_idle_design () =
   (* constant input: after the pipeline fills, nothing changes; the
@@ -916,9 +977,9 @@ let test_dense_mode_exits_when_quiet () =
   done
 
 let test_dirty_kernel_skips_on_idle_design () =
-  (* the dirty lowered kernel's whole point: once an idle pipeline
-     settles, its closures stop running — and the values still match
-     the full sweep cycle for cycle *)
+  (* the event kernel's whole point: once an idle pipeline settles, its
+     dirty-bit scheduled closures stop running — and the values still
+     match the full sweep cycle for cycle *)
   let src =
     {|
 module top (input clk, input [7:0] d, output [7:0] q);
@@ -935,7 +996,7 @@ module top (input clk, input [7:0] d, output [7:0] q);
 endmodule
 |}
   in
-  let ld = Testbench.of_source ~kernel:Simulator.Lowered_dirty ~top:"top" src in
+  let ld = Testbench.of_source ~kernel:Simulator.Event_driven ~top:"top" src in
   let bf = Testbench.of_source ~kernel:Simulator.Brute_force ~top:"top" src in
   Simulator.set_input ld "d" (b 8 0x2A);
   Simulator.set_input bf "d" (b 8 0x2A);
@@ -949,56 +1010,23 @@ endmodule
   let rs = Option.get (Simulator.lowered_run_stats ld) in
   check_bool "idle settles skip closures" true
     (rs.Fpga_sim.Lowered.rs_closures_skipped > rs.Fpga_sim.Lowered.rs_closures_run);
-  (* the plain lowered kernel never skips *)
-  let lw = Testbench.of_source ~kernel:Simulator.Lowered ~top:"top" src in
-  Simulator.set_input lw "d" (b 8 0x2A);
-  Simulator.run lw 100;
-  let rsp = Option.get (Simulator.lowered_run_stats lw) in
-  check_int "plain lowered skips nothing" 0
-    rsp.Fpga_sim.Lowered.rs_closures_skipped
-
-let test_dirty_kernel_dense_roundtrip () =
-  (* churn drives the dirty lowered kernel into its dense full-sweep
-     mode, idling drops it back out, and the values track the sweep
-     the whole way — same adaptive contract as the event kernel *)
-  let ld = Testbench.of_source ~kernel:Simulator.Lowered_dirty ~top:"top" dense_src in
-  let bf = Testbench.of_source ~kernel:Simulator.Brute_force ~top:"top" dense_src in
-  let drive sim d =
-    Simulator.set_input sim "d" (b 8 d);
-    Simulator.step sim
-  in
-  check_bool "starts sparse" false (Simulator.dense_mode ld);
-  for i = 0 to 29 do
-    let d = ((i * 37) + 1) land 0xff in
-    drive ld d;
-    drive bf d;
-    check_int
-      (Printf.sprintf "q agrees at burst cycle %d" i)
-      (Simulator.read_int bf "q") (Simulator.read_int ld "q")
-  done;
-  check_bool "burst engages dense mode" true (Simulator.dense_mode ld);
-  for i = 0 to 29 do
-    drive ld 0;
-    drive bf 0;
-    check_int
-      (Printf.sprintf "q agrees during idle cycle %d" i)
-      (Simulator.read_int bf "q") (Simulator.read_int ld "q")
-  done;
-  check_bool "idle drops back to sparse" false (Simulator.dense_mode ld)
+  (* the oracle has no closures to skip *)
+  check_bool "brute force has no lowered stats" true
+    (Simulator.lowered_run_stats bf = None)
 
 let suite =
   suite
   @ [
       Alcotest.test_case "event kernel == brute force (testbed, 200 cycles)"
         `Quick test_event_kernel_matches_brute_force;
-      Alcotest.test_case "four kernels identical over the full testbed"
-        `Slow test_four_kernels_full_testbed;
+      Alcotest.test_case "event and brute identical over the full testbed"
+        `Slow test_kernels_full_testbed;
+      Alcotest.test_case "event == brute on a 5000-node plan, with restore"
+        `Slow test_big_plan_matches_brute;
       Alcotest.test_case "comb $display fires every cycle" `Quick
         test_comb_display_fires_every_cycle;
       Alcotest.test_case "dirty lowered kernel skips on idle design" `Quick
         test_dirty_kernel_skips_on_idle_design;
-      Alcotest.test_case "dirty lowered kernel dense round trip" `Quick
-        test_dirty_kernel_dense_roundtrip;
       Alcotest.test_case "event kernel on idle design" `Quick
         test_event_kernel_idle_design;
       Alcotest.test_case "dense mode engages on full-plan activity" `Quick
@@ -1110,4 +1138,55 @@ let suite =
         test_vcd_golden_multibit;
       Alcotest.test_case "golden waveform render" `Quick
         test_waveform_render_golden;
+    ]
+
+(* --- linear allocation of parsing and VCD sampling -------------------- *)
+
+(* Minor-heap words allocated by [f]: a deterministic cost measure, so
+   these scaling checks involve no timing. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* [n] 8-bit wires, each its own continuous assign off the input. *)
+let wide_src n =
+  let b = Buffer.create (n * 40) in
+  Printf.bprintf b "module top (input clk, input [7:0] d, output [7:0] q);\n";
+  for i = 1 to n do
+    Printf.bprintf b "  wire [7:0] w%d;\n  assign w%d = d + 8'd%d;\n" i i (i land 0xff)
+  done;
+  Printf.bprintf b "  assign q = w%d;\nendmodule\n" n;
+  Buffer.contents b
+
+let test_linear_allocation () =
+  let n = 1000 in
+  let parse_words k = minor_words (fun () -> Parser.parse_design (wide_src k)) in
+  let p1 = parse_words n and p2 = parse_words (2 * n) in
+  if p2 >= 2.5 *. p1 then
+    Alcotest.failf "parsing %d assigns allocates %.0f words, %d assigns %.0f"
+      n p1 (2 * n) p2;
+  (* four samples of a design whose every signal changes each cycle *)
+  let sample_words k =
+    let flat = Elaborate.elaborate (Parser.parse_design (wide_src k)) ~top:"top" in
+    let sim = Simulator.create flat in
+    let vcd = Vcd.create flat in
+    let words = ref 0.0 in
+    for c = 1 to 4 do
+      Simulator.set_input_int sim "d" c;
+      Simulator.step sim;
+      words := !words +. minor_words (fun () -> Vcd.sample vcd sim)
+    done;
+    !words
+  in
+  let s1 = sample_words n and s2 = sample_words (2 * n) in
+  if s2 >= 2.5 *. s1 then
+    Alcotest.failf "sampling %d signals allocates %.0f words, %d signals %.0f"
+      n s1 (2 * n) s2
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "parse and VCD sampling allocate linearly" `Quick
+        test_linear_allocation;
     ]

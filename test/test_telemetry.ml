@@ -371,7 +371,7 @@ let test_profile_json () =
   List.iter
     (fun key -> check_bool key true (contains json key))
     [
-      "\"schema\": \"fpga-debug-profile/2\"";
+      "\"schema\": \"fpga-debug-profile/3\"";
       "\"kernel_stats\"";
       "\"kernel_efficiency\"";
       "\"nodes_skipped\"";
@@ -380,8 +380,8 @@ let test_profile_json () =
       "\"phases\"";
       "\"bus\"";
       "\"dropped\"";
-      (* schema /2: lowered section (auto kernel is a lowered variant
-         on every testbed design) *)
+      (* lowered section: the default event kernel runs lowered
+         closures *)
       "\"lowered\"";
       "\"closures_run\"";
       "\"skip_rate\"";
@@ -389,6 +389,19 @@ let test_profile_json () =
     ];
   check_bool "hottest signals present" true
     (p.Fpga_report.Profile.p_hottest <> [])
+
+(* D4 is purely sequential: with no combinational node there is no
+   full-sweep work to compare against, so efficiency is unknown rather
+   than a perfect 100%. *)
+let test_profile_empty_plan () =
+  let bug = Option.get (Registry.find "D4") in
+  let p = Fpga_report.Profile.run ~cycles:50 bug in
+  Telemetry.reset ();
+  check_int "no combinational work" 0
+    p.Fpga_report.Profile.p_stats.Simulator.st_node_rounds;
+  check_bool "efficiency unknown" true (p.Fpga_report.Profile.p_efficiency = None);
+  check_bool "JSON reports null" true
+    (contains (Fpga_report.Profile.to_json p) "\"kernel_efficiency\": null,")
 
 let suite =
   [
@@ -421,4 +434,6 @@ let suite =
       test_dep_monitor_publishes;
     Alcotest.test_case "profile JSON schema and drop accounting" `Quick
       test_profile_json;
+    Alcotest.test_case "profile efficiency n/a on an empty plan" `Quick
+      test_profile_empty_plan;
   ]
