@@ -57,7 +57,7 @@ type t = {
   ck_tag : string;
   ck_cycle : int;
   ck_finished : bool;
-  ck_values : (string * Eval.value) list;
+  ck_values : (string * Compiled.value) list;
   ck_prims : prim list;
   ck_log : (int * string) list;
   ck_meta : (string * string) list;
@@ -146,8 +146,8 @@ let body_string (t : t) : string =
   List.iter
     (fun (name, v) ->
       match v with
-      | Eval.Vec b -> add "v %s %d %s\n" name (Bits.width b) (Bits.to_hex_string b)
-      | Eval.Mem a ->
+      | Compiled.Vec b -> add "v %s %d %s\n" name (Bits.width b) (Bits.to_hex_string b)
+      | Compiled.Mem a ->
           let w = if Array.length a = 0 then 1 else Bits.width a.(0) in
           add "m %s %d %d %s\n" name w (Array.length a) (hex_csv a))
     t.ck_values;
@@ -288,11 +288,11 @@ let of_string (s : string) : t =
         match String.split_on_char ' ' line with
         | [ "v"; name; w; hex ] ->
             let w = parse_int "width" w in
-            (name, Eval.Vec (parse_bits ~what:name ~width:w hex))
+            (name, Compiled.Vec (parse_bits ~what:name ~width:w hex))
         | [ "m"; name; w; d; csv ] ->
             let w = parse_int "width" w in
             let d = parse_int "depth" d in
-            (name, Eval.Mem (parse_hex_csv ~what:name ~width:w ~n:d csv))
+            (name, Compiled.Mem (parse_hex_csv ~what:name ~width:w ~n:d csv))
         | _ -> fail "malformed value line: %S" line)
   in
   let nprims = parse_count cur "prims" in

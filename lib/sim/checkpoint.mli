@@ -58,7 +58,7 @@ type t = {
   ck_tag : string;  (** free-form provenance, e.g. the bug id *)
   ck_cycle : int;  (** completed cycles at capture time *)
   ck_finished : bool;  (** the design had executed [$finish] *)
-  ck_values : (string * Eval.value) list;  (** flat name -> value *)
+  ck_values : (string * Compiled.value) list;  (** flat name -> value *)
   ck_prims : prim list;
   ck_log : (int * string) list;  (** $display log, oldest first *)
   ck_meta : (string * string) list;  (** harness state, seeds, ... *)

@@ -1,31 +1,36 @@
-(* Interned-signal compiled evaluation.
+(* Interned-signal compiled evaluation: the reference evaluator.
 
-   [Eval] interprets raw AST nodes over a [(string, value) Hashtbl],
-   re-hashing every signal name on every expression node — measurable
-   overhead once settling is event-driven and each node evaluation is
-   the unit of work. This module compiles, once at simulator
-   construction, each expression / lvalue / statement into a resolved
-   form in which every signal reference is a dense integer id (assigned
-   at elaboration, [Elaborate.f_signal_ids]) and every width, memory
-   depth, and assignment context width is pre-resolved. Evaluation then
-   reads and writes an id-indexed [value array]: no string hashing, no
-   width lookups, no re-resolution on the hot path.
+   Each expression / lvalue / statement is compiled once, at simulator
+   construction, into a resolved form in which every signal reference
+   is a dense integer id (assigned at elaboration,
+   [Elaborate.f_signal_ids]) and every width, memory depth, and
+   assignment context width is pre-resolved. Evaluation then reads and
+   writes an id-indexed [value array]: no string hashing, no width
+   lookups, no re-resolution on the hot path. Name-resolution errors
+   surface at compile (simulator construction) time instead of
+   mid-simulation. The width rules and the out-of-range access
+   semantics (bug study section 3.2.1) every kernel follows are
+   documented in compiled.mli.
 
-   Semantics are identical to [Eval] (same Verilog width rules, the
-   same out-of-range access semantics from the bug study section 3.2.1,
-   the same error messages); name-resolution errors simply surface at
-   compile (simulator construction) time instead of mid-simulation.
-   The change-detecting writes preserve [Eval.apply_write_notify]'s
-   contract: a write that does not change the stored value neither
-   mutates the environment nor notifies, relying on the Bits phys-eq
-   no-op returns for O(1) detection. *)
+   The change-detecting writes never mutate the environment or notify
+   on a write that leaves the stored value unchanged, relying on the
+   Bits phys-eq no-op returns for O(1) detection. *)
 
 module Ast = Fpga_hdl.Ast
 module Bits = Fpga_bits.Bits
 
-let err fmt = Printf.ksprintf (fun s -> raise (Eval.Eval_error s)) fmt
+exception Eval_error of string
 
-type value = Eval.value = Vec of Bits.t | Mem of Bits.t array
+let err fmt = Printf.ksprintf (fun s -> raise (Eval_error s)) fmt
+
+type value = Vec of Bits.t | Mem of Bits.t array
+
+(* Resolve an index into a structure of [size] entries; [None] =
+   dropped. A power-of-two size wraps (truncates the high index bits). *)
+let resolve_index ~size idx =
+  if idx >= 0 && idx < size then Some idx
+  else if size > 0 && size land (size - 1) = 0 then Some (idx land (size - 1))
+  else None
 
 type env = value array
 
@@ -237,7 +242,10 @@ let mem (env : env) i =
 
 let bool_bits = Bits.of_bool
 
-(* [ctx] is the Verilog context width, exactly as in [Eval.eval_ctx]. *)
+(* [ctx] is the Verilog context width: in an assignment the target's
+   width flows into arithmetic and bitwise operands, so a carry computed
+   into a wider target is not lost ({co, s} <= a + b). Self-determined
+   contexts pass [ctx = 0]. *)
 let rec eval_ctx (env : env) ~ctx (e : cexpr) : Bits.t =
   let widen v = if Bits.width v < ctx then Bits.resize v ctx else v in
   match e with
@@ -246,13 +254,13 @@ let rec eval_ctx (env : env) ~ctx (e : cexpr) : Bits.t =
   | Cbit (i, w, ix) ->
       let idx = Bits.to_int_trunc (eval_ctx env ~ctx:0 ix) in
       widen
-        (match Eval.resolve_index ~size:w idx with
+        (match resolve_index ~size:w idx with
         | Some k -> bool_bits (Bits.bit (vec env i) k)
         | None -> Bits.zero 1)
   | Cword (i, depth, ww, ix) ->
       let idx = Bits.to_int_trunc (eval_ctx env ~ctx:0 ix) in
       widen
-        (match Eval.resolve_index ~size:depth idx with
+        (match resolve_index ~size:depth idx with
         | Some k -> (mem env i).(k)
         | None -> Bits.zero ww)
   | Crange (i, hi, lo) -> widen (Bits.slice (vec env i) ~hi ~lo)
@@ -335,12 +343,12 @@ let rec resolve_into env acc (l : clvalue) (value : Bits.t) =
   | CLvar (i, w) -> CWfull (i, Bits.resize value w) :: acc
   | CLbit (i, w, ix) -> (
       let idx = Bits.to_int_trunc (eval env ix) in
-      match Eval.resolve_index ~size:w idx with
+      match resolve_index ~size:w idx with
       | Some k -> CWbit (i, k, Bits.bit (Bits.resize value 1) 0) :: acc
       | None -> CWdropped :: acc)
   | CLword (i, depth, ww, ix) -> (
       let idx = Bits.to_int_trunc (eval env ix) in
-      match Eval.resolve_index ~size:depth idx with
+      match resolve_index ~size:depth idx with
       | Some k -> CWmem (i, k, Bits.resize value ww) :: acc
       | None -> CWdropped :: acc)
   | CLrange (i, hi, lo) ->

@@ -1,17 +1,40 @@
-(** Interned-signal compiled evaluation.
+(** Interned-signal compiled evaluation: the reference evaluator.
 
     Compiles AST expressions/lvalues/statements once, at simulator
     construction, into a resolved form in which every signal reference
     is a dense integer id ({!Elaborate.flat}[.f_signal_ids]) and every
     width, memory depth, and assignment context width is pre-resolved.
     Evaluation then runs over an id-indexed [value array] — no string
-    hashing or width lookups on the hot path.
+    hashing or width lookups on the hot path. The brute-force kernel
+    interprets this form directly; the production kernel ({!Lowered})
+    is held bit-identical to it.
 
-    Semantics match {!Eval} exactly (width rules, out-of-range access
-    semantics, error messages); name-resolution errors are raised as
-    {!Eval.Eval_error} at compile time rather than mid-simulation. *)
+    Width rules follow the Verilog synthesizable subset: binary operands
+    are zero-extended to the wider of the two widths, comparisons and
+    logical operators yield one bit, shifts keep the left operand's
+    width, and an assignment's target width flows into arithmetic
+    operands (the context width), so the carry of [{c, s} <= a + b] is
+    not lost.
 
-type value = Eval.value = Vec of Fpga_bits.Bits.t | Mem of Fpga_bits.Bits.t array
+    Out-of-range accesses implement the semantics documented in the bug
+    study (section 3.2.1): power-of-two structures wrap (the high index
+    bits are truncated), other sizes drop the access (writes ignored,
+    reads return zero).
+
+    Name-resolution errors (unbound names, memory misuse, out-of-width
+    part selects) are raised as {!Eval_error} at compile time, never
+    mid-simulation. *)
+
+exception Eval_error of string
+
+type value =
+  | Vec of Fpga_bits.Bits.t  (** a register or net *)
+  | Mem of Fpga_bits.Bits.t array  (** a memory *)
+
+val resolve_index : size:int -> int -> int option
+(** [resolve_index ~size idx] applies the overflow semantics above:
+    in-range indices are themselves, out-of-range indices wrap when
+    [size] is a power of two and are dropped ([None]) otherwise. *)
 
 type env = value array
 (** Signal values indexed by dense signal id. *)
@@ -22,7 +45,7 @@ type tab
 val of_flat : Elaborate.flat -> tab
 val name : tab -> int -> string
 val id : tab -> string -> int
-(** Raises {!Eval.Eval_error} ("unbound signal ...") when absent. *)
+(** Raises {!Eval_error} ("unbound signal ...") when absent. *)
 
 val width : tab -> int -> int
 (** Vector width, or word width for a memory. *)
@@ -72,7 +95,7 @@ type cstmt =
   | CSdisplay of string * cexpr list
   | CSfinish
 
-(** {1 Compilation} — raises {!Eval.Eval_error} on unbound names,
+(** {1 Compilation} — raises {!Eval_error} on unbound names,
     memory misuse, or out-of-width part selects. *)
 
 val compile_expr : tab -> Fpga_hdl.Ast.expr -> cexpr
@@ -89,7 +112,8 @@ val mem : env -> int -> Fpga_bits.Bits.t array
 (** The memory word array at id [i]. *)
 
 val eval_ctx : env -> ctx:int -> cexpr -> Fpga_bits.Bits.t
-(** [ctx] is the Verilog context width, as in {!Eval.eval_ctx}. *)
+(** [eval_ctx env ~ctx e] evaluates [e] with a Verilog context width of
+    [ctx] bits flowing into arithmetic and bitwise operands. *)
 
 val eval : env -> cexpr -> Fpga_bits.Bits.t
 (** Self-determined context ([ctx = 0]). *)

@@ -179,8 +179,12 @@ let rec subst_stmt consts rename s =
   | Ast.Finish -> Ast.Finish
 
 (* Inline one module instance. [port_map] maps local port names to
-   existing flat signal names (identity connections). *)
-let rec inline ctx prefix (m : Ast.module_def) param_overrides port_map =
+   existing flat signal names (identity connections). [ancestors] names
+   the modules on the inlining stack above [m]; instantiating any of
+   them again would recurse forever. *)
+let rec inline ctx ~ancestors prefix (m : Ast.module_def) param_overrides
+    port_map =
+  let ancestors = m.Ast.mod_name :: ancestors in
   let params =
     List.map
       (fun (n, v) ->
@@ -242,9 +246,11 @@ let rec inline ctx prefix (m : Ast.module_def) param_overrides port_map =
       | Ast.Negedge clk -> ctx.seq <- (Neg, rename clk, body) :: ctx.seq)
     m.Ast.always_blocks;
   (* Instances. *)
-  List.iter (fun i -> inline_instance ctx prefix consts rename i) m.Ast.instances
+  List.iter
+    (fun i -> inline_instance ctx ~ancestors prefix consts rename i)
+    m.Ast.instances
 
-and inline_instance ctx prefix consts rename (i : Ast.instance) =
+and inline_instance ctx ~ancestors prefix consts rename (i : Ast.instance) =
   let child_prefix = join prefix i.Ast.inst_name in
   match prim_kind_of_target i.Ast.target with
   | Some kind ->
@@ -286,6 +292,8 @@ and inline_instance ctx prefix consts rename (i : Ast.instance) =
   | None -> (
       match Ast.find_module ctx.design i.Ast.target with
       | None -> err "unknown module %s instantiated as %s" i.Ast.target child_prefix
+      | Some child when List.mem child.Ast.mod_name ancestors ->
+          err "recursive instantiation: %s" child_prefix
       | Some child ->
           let port_map = ref [] in
           let extra_assigns = ref [] in
@@ -341,7 +349,7 @@ and inline_instance ctx prefix consts rename (i : Ast.instance) =
                     c.Ast.formal child_prefix
               | Ast.Inout, _ -> err "inout ports are not supported (%s)" c.Ast.formal)
             i.Ast.conns;
-          inline ctx child_prefix child i.Ast.params !port_map;
+          inline ctx ~ancestors child_prefix child i.Ast.params !port_map;
           ctx.assigns <- !extra_assigns @ ctx.assigns)
 
 let elaborate (design : Ast.design) ~top : flat =
@@ -354,7 +362,7 @@ let elaborate (design : Ast.design) ~top : flat =
     { design; signals = Hashtbl.create 64; assigns = []; comb = []; seq = [];
       prims = [] }
   in
-  inline ctx "" top_mod [] [];
+  inline ctx ~ancestors:[] "" top_mod [] [];
   (* Mark top-level port directions. *)
   List.iter
     (fun (p : Ast.port) ->

@@ -55,8 +55,10 @@ type flat = {
 
 val elaborate : Fpga_hdl.Ast.design -> top:string -> flat
 (** [elaborate design ~top] flattens [design] rooted at module [top].
-    Raises {!Elaboration_error} on unknown modules, port mismatches, or
-    conflicting widths. *)
+    Raises {!Elaboration_error} on unknown modules, port mismatches,
+    conflicting widths, or recursive instantiation (a module that
+    instantiates itself, directly or through other modules; the message
+    names the offending instance path). *)
 
 val signal : flat -> string -> fsignal
 (** [signal flat name] looks a flat signal up; raises

@@ -18,7 +18,7 @@
 
    Semantics are bit-identical to [Compiled.eval_ctx] /
    [Simulator.exec_stmt]: the same Verilog context-width rules, the
-   same out-of-range index semantics ([Eval.resolve_index]), the same
+   same out-of-range index semantics ([Compiled.resolve_index]), the same
    non-blocking commit ordering (including dropped writes, which still
    count toward commit statistics), the same display gating, and the
    same change-detection points so per-signal toggle counts match the
@@ -150,7 +150,7 @@ let index_fn = function
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-(* [Eval.resolve_index] with the power-of-two test precomputed; [idx]
+(* [Compiled.resolve_index] with the power-of-two test precomputed; [idx]
    is non-negative by construction (truncated), [-1] means dropped. *)
 let resolve ~size ~pow2 idx =
   if idx < size then idx else if pow2 then idx land (size - 1) else -1

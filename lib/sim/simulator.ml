@@ -784,119 +784,23 @@ let hottest_signals ?(k = 10) sim =
 (* Checkpointing                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A deep snapshot of the architectural state: environment, primitive
-   contents, cycle count, and log. Restoring a checkpoint and stepping
-   produces the same trace as the original run - the replay property
-   checkpoint-based FPGA debuggers (DESSERT, StateMover) rely on.
-   Snapshots are name-keyed so they stay meaningful independently of
-   the id assignment. *)
-type checkpoint = {
-  cp_env : (string * Eval.value) list;
-  cp_prims : (string * Bits.t array * int * int * Bits.t) list;
-  cp_cycle : int;
-  cp_finished : bool;
-  cp_log : (int * string) list;
-}
+(* A deep snapshot of the architectural state (environment, primitive
+   contents, cycle count, log), name-keyed into the versioned
+   [Checkpoint] wire format and bound to the design by its structural
+   hash. Restoring a checkpoint and stepping produces the same trace as
+   the original run - the replay property checkpoint-based FPGA
+   debuggers (DESSERT, StateMover) rely on. The dirty set, adaptive
+   mode, and NBA queue are derived or empty at cycle boundaries, so a
+   restored simulator re-derives them. *)
 
 (* Architectural value of signal [i], materialized through the lowered
    kernel's immediate bank when that is the live representation. *)
 let sig_value sim i =
   match sim.env.(i) with
   | Compiled.Vec b ->
-      Eval.Vec
+      Compiled.Vec
         (match sim.engine with Event low -> Lowered.read_vec low i | Brute _ -> b)
-  | Compiled.Mem a -> Eval.Mem (Array.copy a)
-
-let checkpoint (sim : t) : checkpoint =
-  let cp_env =
-    Array.to_list
-      (Array.mapi
-         (fun i name -> (name, sig_value sim i))
-         sim.flat.f_signal_order)
-  in
-  let cp_prims =
-    List.map
-      (fun ps ->
-        match ps with
-        | Pfifo (cp, f) ->
-            ( cp.cp_src.fp_name,
-              Array.copy f.f_data,
-              f.f_head,
-              f.f_count,
-              Bits.zero 1 )
-        | Pram (cp, r) -> (cp.cp_src.fp_name, Array.copy r.r_words, 0, 0, r.r_q))
-      sim.prims
-  in
-  {
-    cp_env;
-    cp_prims;
-    cp_cycle = sim.cycle;
-    cp_finished = !(sim.finished);
-    cp_log = sim.log;
-  }
-
-(* Raw restore of one signal, routed into whichever value bank is
-   live; no change detection (the caller re-marks everything). *)
-let restore_sig sim i v =
-  match v with
-  | Eval.Vec b -> (
-      match sim.engine with
-      | Event low -> Lowered.set_vec_raw low i b
-      | Brute _ -> sim.env.(i) <- Compiled.Vec b)
-  | Eval.Mem a -> sim.env.(i) <- Compiled.Mem (Array.copy a)
-
-let restore (sim : t) (snap : checkpoint) : unit =
-  List.iter
-    (fun (name, v) ->
-      match find_id sim name with
-      | Some i -> restore_sig sim i v
-      | None -> ())
-    snap.cp_env;
-  List.iter
-    (fun ps ->
-      match ps with
-      | Pfifo (cp, f) -> (
-          match
-            List.find_opt
-              (fun (n, _, _, _, _) -> n = cp.cp_src.fp_name)
-              snap.cp_prims
-          with
-          | Some (_, data, head, count, _) ->
-              Array.blit data 0 f.f_data 0 (Array.length data);
-              f.f_head <- head;
-              f.f_count <- count
-          | None -> ())
-      | Pram (cp, r) -> (
-          match
-            List.find_opt
-              (fun (n, _, _, _, _) -> n = cp.cp_src.fp_name)
-              snap.cp_prims
-          with
-          | Some (_, words, _, _, q) ->
-              Array.blit words 0 r.r_words 0 (Array.length words);
-              r.r_q <- q
-          | None -> ()))
-    sim.prims;
-  sim.cycle <- snap.cp_cycle;
-  sim.finished := snap.cp_finished;
-  sim.log <- snap.cp_log;
-  sim.log_len <- List.length snap.cp_log;
-  (* invalidate the memo: a restored log of the same length as the
-     current one would otherwise serve the stale reversed view *)
-  sim.log_memo <- (-1, []);
-  (* the whole environment may have changed: drop back to sparse with
-     everything dirty and let activity re-derive the mode *)
-  Option.iter Lowered.mark_all (lowered sim)
-
-(* ------------------------------------------------------------------ *)
-(* Serializable checkpoints                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The on-disk counterpart of [checkpoint]/[restore]: same state, but
-   name-keyed into the versioned [Checkpoint] wire format and bound to
-   the design by its structural hash. The dirty set, adaptive mode, and
-   NBA queue are derived or empty at cycle boundaries, so a restored
-   simulator re-derives them exactly as [restore] does. *)
+  | Compiled.Mem a -> Compiled.Mem (Array.copy a)
 
 let ck_saves = Telemetry.Counter.make "checkpoint.saves"
 let ck_restores = Telemetry.Counter.make "checkpoint.restores"
@@ -964,17 +868,22 @@ let restore_checkpoint (sim : t) (ck : Checkpoint.t) : unit =
       | None -> ck_fail "checkpoint signal %s does not exist in the design" name
       | Some i -> (
           match (sim.env.(i), v) with
-          | Compiled.Vec old, Eval.Vec b ->
+          | Compiled.Vec old, Compiled.Vec b ->
               if Bits.width b <> Bits.width old then
                 ck_fail "checkpoint signal %s has width %d, design has %d" name
                   (Bits.width b) (Bits.width old)
-              else restore_sig sim i v
-          | Compiled.Mem old, Eval.Mem a ->
+              else (
+                (* raw store into whichever bank is live; no change
+                   detection, everything is re-marked below *)
+                match sim.engine with
+                | Event low -> Lowered.set_vec_raw low i b
+                | Brute _ -> sim.env.(i) <- v)
+          | Compiled.Mem old, Compiled.Mem a ->
               if Array.length a <> Array.length old then
                 ck_fail "checkpoint memory %s has %d words, design has %d" name
                   (Array.length a) (Array.length old)
               else sim.env.(i) <- Compiled.Mem (Array.copy a)
-          | Compiled.Vec _, Eval.Mem _ | Compiled.Mem _, Eval.Vec _ ->
+          | Compiled.Vec _, Compiled.Mem _ | Compiled.Mem _, Compiled.Vec _ ->
               ck_fail "checkpoint signal %s has the wrong shape" name))
     ck.Checkpoint.ck_values;
   List.iter
@@ -1006,7 +915,11 @@ let restore_checkpoint (sim : t) (ck : Checkpoint.t) : unit =
   sim.finished := ck.Checkpoint.ck_finished;
   sim.log <- List.rev ck.Checkpoint.ck_log;
   sim.log_len <- List.length ck.Checkpoint.ck_log;
+  (* invalidate the memo: a restored log of the same length as the
+     current one would otherwise serve the stale reversed view *)
   sim.log_memo <- (-1, []);
+  (* the whole environment may have changed: drop back to sparse with
+     everything dirty and let activity re-derive the mode *)
   Option.iter Lowered.mark_all (lowered sim);
   (* primitive outputs must reflect the restored contents before the
      next settle, exactly as [create] does for the initial state *)

@@ -99,10 +99,6 @@ val on_step : t -> (int -> unit) -> unit
     multiple hooks may be installed. Registering no hook keeps [step]
     on its original path. *)
 
-val settle : ?displays:bool -> t -> unit
-(** Settle combinational logic without a clock edge (rarely needed
-    directly; [step] calls it). *)
-
 (** {1 Telemetry}
 
     Kernel-profiling counters, recorded only when the global
@@ -164,22 +160,12 @@ val hottest_signals : ?k:int -> t -> (string * int) list
     Deep snapshots of the architectural state (registers, memories,
     primitive contents, cycle count, log), in the spirit of the
     checkpoint-based FPGA debuggers the paper relates to (DESSERT,
-    StateMover): restoring a checkpoint and re-stepping replays the
-    original trace exactly. *)
-
-type checkpoint
-
-val checkpoint : t -> checkpoint
-val restore : t -> checkpoint -> unit
-
-(** {2 Serializable checkpoints}
-
-    The on-disk counterpart of {!checkpoint}/{!restore}: the same
-    architectural state, name-keyed into the versioned, content-hashed
-    {!Checkpoint} wire format and bound to the design by its structural
-    hash. Restoring a serialized checkpoint and stepping yields results
-    bit-identical to a run that never stopped — the replay-determinism
-    property the CI replay gate enforces. *)
+    StateMover). A snapshot is name-keyed into the versioned,
+    content-hashed {!Checkpoint} wire format and bound to the design by
+    its structural hash; it can stay in memory or be written to disk.
+    Restoring a checkpoint and stepping yields results bit-identical to
+    a run that never stopped — the replay-determinism property the CI
+    replay gate enforces. *)
 
 val save_checkpoint :
   ?tag:string -> ?meta:(string * string) list -> t -> Checkpoint.t

@@ -513,9 +513,9 @@ endmodule
   (* checkpointed run: snapshot at 10, keep going, then rewind and replay *)
   let sim = sim_of src "top" in
   drive sim 0 10;
-  let cp = Simulator.checkpoint sim in
+  let cp = Simulator.save_checkpoint sim in
   drive sim 10 23;
-  Simulator.restore sim cp;
+  Simulator.restore_checkpoint sim cp;
   check_int "cycle rewound" 10 (Simulator.cycle sim);
   drive sim 10 30;
   check_bool "replay equals uninterrupted run" true (observe sim = reference)
@@ -537,13 +537,13 @@ endmodule
   Simulator.step sim;
   Simulator.set_input sim "push" (b 1 0);
   Simulator.step sim;
-  let cp = Simulator.checkpoint sim in
+  let cp = Simulator.save_checkpoint sim in
   (* drain the fifo, then rewind: the word must be back *)
   Simulator.set_input sim "pop" (b 1 1);
   Simulator.step sim;
   Simulator.step sim;
   check_int "drained" 1 (Simulator.read_int sim "is_empty");
-  Simulator.restore sim cp;
+  Simulator.restore_checkpoint sim cp;
   Simulator.set_input sim "pop" (b 1 0);
   Simulator.step sim;
   check_int "fifo content restored" 42 (Simulator.read_int sim "front");
@@ -552,8 +552,9 @@ endmodule
 (* --- differential property: printed Verilog evaluates like the AST ------- *)
 
 (* Random expressions over fixed 8-bit inputs: the value computed by the
-   full pipeline (print -> parse -> elaborate -> simulate) equals direct
-   evaluation of the AST over the same environment. *)
+   full pipeline (print -> parse -> elaborate -> simulate) under both
+   kernels equals the reference evaluator ([Compiled.eval_ctx]) applied
+   to the original, unprinted AST over the same inputs. *)
 let prop_print_parse_simulate_eval =
   let gen_leaf =
     QCheck2.Gen.(
@@ -602,18 +603,25 @@ let prop_print_parse_simulate_eval =
            [7:0] o);\nassign o = %s;\nendmodule"
           (Pp_verilog.expr_str e)
       in
-      let sim = sim_of src "t" in
-      Simulator.set_input sim "s0" (b 8 v0);
-      Simulator.set_input sim "s1" (b 8 v1);
-      Simulator.set_input sim "s2" (b 8 v2);
-      Simulator.step sim;
-      let via_sim = Simulator.read_int sim "o" in
-      let env : Eval.env = Hashtbl.create 4 in
-      Hashtbl.replace env "s0" (Eval.Vec (b 8 v0));
-      Hashtbl.replace env "s1" (Eval.Vec (b 8 v1));
-      Hashtbl.replace env "s2" (Eval.Vec (b 8 v2));
-      let direct = Bits.to_int (Bits.resize (Eval.eval_ctx env ~ctx:8 e) 8) in
-      via_sim = direct)
+      let flat = Elaborate.elaborate (Parser.parse_design src) ~top:"t" in
+      let inputs = [ ("s0", b 8 v0); ("s1", b 8 v1); ("s2", b 8 v2) ] in
+      let via_sim kernel =
+        let sim = Simulator.create ~kernel flat in
+        List.iter (fun (n, v) -> Simulator.set_input sim n v) inputs;
+        Simulator.step sim;
+        Simulator.read_int sim "o"
+      in
+      let tab = Compiled.of_flat flat in
+      let env = Compiled.fresh_env flat in
+      List.iter (fun (n, v) -> env.(Compiled.id tab n) <- Compiled.Vec v) inputs;
+      let direct =
+        Bits.to_int
+          (Bits.resize
+             (Compiled.eval_ctx env ~ctx:8 (Compiled.compile_expr tab e))
+             8)
+      in
+      via_sim Simulator.Event_driven = direct
+      && via_sim Simulator.Brute_force = direct)
 
 let suite =
   suite
@@ -1189,4 +1197,52 @@ let suite =
   @ [
       Alcotest.test_case "parse and VCD sampling allocate linearly" `Quick
         test_linear_allocation;
+    ]
+
+(* --- recursive instantiation --------------------------------------------- *)
+
+(* A module that (transitively) instantiates itself has no finite
+   flattening: elaboration must refuse it with the offending instance
+   path instead of inlining until memory runs out. *)
+
+let check_recursive name src ~top path =
+  Alcotest.check_raises name
+    (Elaborate.Elaboration_error ("recursive instantiation: " ^ path))
+    (fun () -> ignore (Elaborate.elaborate (Parser.parse_design src) ~top))
+
+let test_recursive_self_instance () =
+  check_recursive "module instantiates itself"
+    "module top (input clk); top u (); endmodule" ~top:"top" "u";
+  check_recursive "self instance below a healthy parent"
+    {|
+module leaf (input clk);
+  leaf again (.clk(clk));
+endmodule
+module top (input clk);
+  leaf u0 (.clk(clk));
+endmodule
+|}
+    ~top:"top" "u0/again"
+
+let test_recursive_two_module_cycle () =
+  let src =
+    {|
+module a (input clk);
+  b u_b (.clk(clk));
+endmodule
+module b (input clk);
+  a u_a (.clk(clk));
+endmodule
+|}
+  in
+  check_recursive "a -> b -> a" src ~top:"a" "u_b/u_a";
+  check_recursive "b -> a -> b" src ~top:"b" "u_a/u_b"
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "recursive self-instantiation rejected" `Quick
+        test_recursive_self_instance;
+      Alcotest.test_case "recursive two-module cycle rejected" `Quick
+        test_recursive_two_module_cycle;
     ]
