@@ -205,32 +205,6 @@ let bits_benches () =
         cases)
     widths
 
-(* Signal-lookup micro-benchmark: a string-keyed hashtable environment
-   (the seed's evaluator) against the interned id-indexed array the
-   compiled evaluator uses, over a real design's signal set. *)
-type lookup_bench = { lb_hashtbl_per_sec : float; lb_array_per_sec : float }
-
-let signal_lookup_bench () =
-  let bug = Option.get (Registry.find "D8") in
-  let design = Fpga_hdl.Parser.parse_design bug.Bug.buggy_src in
-  let flat = Fpga_sim.Elaborate.elaborate design ~top:bug.Bug.top in
-  let names = flat.Fpga_sim.Elaborate.f_signal_order in
-  let n = Array.length names in
-  let h = Hashtbl.create (2 * n) in
-  Array.iter (fun nm -> Hashtbl.replace h nm (Bits.zero 8)) names;
-  let arr = Array.make n (Bits.zero 8) in
-  let per_sweep f = ops_per_sec f *. float_of_int n in
-  {
-    lb_hashtbl_per_sec =
-      per_sweep (fun () ->
-          Array.iter (fun nm -> ignore (Sys.opaque_identity (Hashtbl.find h nm))) names);
-    lb_array_per_sec =
-      per_sweep (fun () ->
-          for i = 0 to n - 1 do
-            ignore (Sys.opaque_identity arr.(i))
-          done);
-  }
-
 type bench_result = {
   br_id : string;
   br_top : string;
@@ -317,15 +291,13 @@ let lowering_bench_one (d : bench_design) =
 
 (* Kernel-telemetry readout: one instrumented 2000-cycle run per bench
    design, reporting how much of the full-sweep work the event kernel
-   actually performed and how the global event bus filled. *)
+   actually performed. *)
 type telemetry_stats = {
   ts_design : string;
   ts_settles : int;
   ts_node_rounds : int;
   ts_nodes_evaluated : int;
   ts_efficiency : float option;  (* [None] on an empty comb plan *)
-  ts_bus_published : int;
-  ts_bus_dropped : int;
 }
 
 let telemetry_stats_one (d : bench_design) =
@@ -340,15 +312,12 @@ let telemetry_stats_one (d : bench_design) =
     incr n
   done;
   let st = Option.get (Simulator.stats sim) in
-  let r = Telemetry.report () in
   {
     ts_design = d.bd_id;
     ts_settles = st.Simulator.st_settles;
     ts_node_rounds = st.Simulator.st_node_rounds;
     ts_nodes_evaluated = st.Simulator.st_nodes_evaluated;
     ts_efficiency = Simulator.kernel_efficiency sim;
-    ts_bus_published = r.Telemetry.r_bus_published;
-    ts_bus_dropped = r.Telemetry.r_bus_dropped;
   }
 
 let telemetry_benches () =
@@ -410,53 +379,9 @@ let telemetry_overhead_benches () =
       else None)
     (bench_designs ())
 
-(* Campaign throughput: the full Table 2 repro set executed on a
-   domain pool of growing width. jobs/sec and cycles/sec are the
-   headline numbers; utilization shows how evenly the queue drained.
-   Speedup is relative to the 1-domain (inline, spawn-free) run, so on
-   a single-core container it can legitimately sit at or below 1.0 —
-   the metric is recorded but deliberately kept out of the warn-only
-   baseline comparison because it is machine-dependent. *)
-type campaign_bench = {
-  cb_domains : int;
-  cb_wall : float;
-  cb_jobs_per_sec : float;
-  cb_cycles_per_sec : float;
-  cb_utilization : float;
-  cb_speedup : float;
-}
-
-let campaign_benches () =
-  let open Fpga_campaign.Campaign in
-  let bugs = Registry.all in
-  let run_at domains =
-    (* best of three: the first pass also warms the minor heap *)
-    let best = ref (run ~domains bugs) in
-    for _ = 1 to 2 do
-      let c = run ~domains bugs in
-      if c.c_stats.ps_wall < !best.c_stats.ps_wall then best := c
-    done;
-    !best
-  in
-  let serial = run_at 1 in
-  let serial_wall = serial.c_stats.ps_wall in
-  List.map
-    (fun domains ->
-      let c = if domains = 1 then serial else run_at domains in
-      let wall = c.c_stats.ps_wall in
-      {
-        cb_domains = domains;
-        cb_wall = wall;
-        cb_jobs_per_sec = float_of_int c.c_stats.ps_jobs /. wall;
-        cb_cycles_per_sec = float_of_int c.c_cycles /. wall;
-        cb_utilization = c.c_stats.ps_utilization;
-        cb_speedup = serial_wall /. wall;
-      })
-    [ 1; 2; 4 ]
-
-let json_of_results results lowerings bits lookup telem overheads campaigns =
+let json_of_results results lowerings bits telem overheads =
   let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"schema\": \"fpga-debug-bench/8\",\n";
+  Buffer.add_string buf "{\n  \"schema\": \"fpga-debug-bench/9\",\n";
   Buffer.add_string buf "  \"designs\": [\n";
   (* both throughputs are same-run best-batch ceilings; "speedup" is the
      production kernel over the brute-force oracle *)
@@ -505,11 +430,6 @@ let json_of_results results lowerings bits lookup telem overheads campaigns =
            (if i = List.length bits - 1 then "" else ",")))
     bits;
   Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"signal_lookup\": {\"hashtbl_per_sec\": %.1f, \"array_per_sec\": \
-        %.1f},\n"
-       lookup.lb_hashtbl_per_sec lookup.lb_array_per_sec);
   (* telemetry sections are keyed on "design" (not "id") so the
      line-based baseline scanner above never conflates them with the
      throughput entries *)
@@ -519,13 +439,11 @@ let json_of_results results lowerings bits lookup telem overheads campaigns =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"design\": %S, \"settles\": %d, \"node_rounds\": %d, \
-            \"nodes_evaluated\": %d, \"kernel_efficiency\": %s, \
-            \"bus_published\": %d, \"bus_dropped\": %d}%s\n"
+            \"nodes_evaluated\": %d, \"kernel_efficiency\": %s}%s\n"
            t.ts_design t.ts_settles t.ts_node_rounds t.ts_nodes_evaluated
            (match t.ts_efficiency with
            | Some e -> Printf.sprintf "%.4f" e
            | None -> "null")
-           t.ts_bus_published t.ts_bus_dropped
            (if i = List.length telem - 1 then "" else ",")))
     telem;
   Buffer.add_string buf "  ],\n  \"telemetry_overhead\": [\n";
@@ -540,21 +458,6 @@ let json_of_results results lowerings bits lookup telem overheads campaigns =
            o.to_cps_trace o.to_trace_overhead_pct
            (if i = List.length overheads - 1 then "" else ",")))
     overheads;
-  (* campaign entries are keyed on "domains" — like the telemetry
-     sections they stay invisible to the baseline scanner, because
-     pool speedup depends on the machine's core count *)
-  Buffer.add_string buf "  ],\n  \"campaign\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"domains\": %d, \"wall_seconds\": %.4f, \"jobs_per_sec\": \
-            %.1f, \"cycles_per_sec\": %.1f, \"pool_utilization\": %.3f, \
-            \"speedup\": %.2f}%s\n"
-           c.cb_domains c.cb_wall c.cb_jobs_per_sec c.cb_cycles_per_sec
-           c.cb_utilization c.cb_speedup
-           (if i = List.length campaigns - 1 then "" else ",")))
-    campaigns;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
 
@@ -565,7 +468,7 @@ let json_of_results results lowerings bits lookup telem overheads campaigns =
 (* Minimal scanner for the bench JSON this harness writes (one entry
    per line): extracts labelled throughput numbers without a JSON
    dependency. Labels: design id -> event-kernel cycles/sec,
-   "op@width" -> ops/sec, "signal_lookup_array" -> lookups/sec. *)
+   "op@width" -> ops/sec. *)
 let find_sub s pat =
   let n = String.length s and m = String.length pat in
   let rec go i =
@@ -608,15 +511,12 @@ let labelled_metrics_of_file path =
        (match (field_string line "id", field_float line "sim_cycles_per_sec_event") with
        | Some id, Some v -> entries := (id, v) :: !entries
        | _ -> ());
-       (match
-          (field_string line "op", field_float line "width", field_float line "ops_per_sec")
-        with
+       match
+         (field_string line "op", field_float line "width", field_float line "ops_per_sec")
+       with
        | Some op, Some w, Some v ->
            entries := (Printf.sprintf "%s@%d" op (int_of_float w), v) :: !entries
-       | _ -> ());
-       match field_float line "array_per_sec" with
-       | Some v -> entries := ("signal_lookup_array", v) :: !entries
-       | None -> ()
+       | _ -> ()
      done
    with End_of_file -> ());
   close_in ic;
@@ -676,13 +576,9 @@ let run_json_bench path baseline =
   let results = List.map bench_one (bench_designs ()) in
   let lowerings = List.map lowering_bench_one (bench_designs ()) in
   let bits = bits_benches () in
-  let lookup = signal_lookup_bench () in
   let telem = telemetry_benches () in
   let overheads = telemetry_overhead_benches () in
-  let campaigns = campaign_benches () in
-  let json =
-    json_of_results results lowerings bits lookup telem overheads campaigns
-  in
+  let json = json_of_results results lowerings bits telem overheads in
   let oc = open_out path in
   output_string oc json;
   close_out oc;
@@ -707,20 +603,15 @@ let run_json_bench path baseline =
     (fun b ->
       Printf.printf "%-14s %8d %16.1f\n" b.bb_op b.bb_width b.bb_ops_per_sec)
     bits;
-  Printf.printf
-    "\nsignal lookup: hashtbl %.1f/s, interned array %.1f/s (%.1fx)\n"
-    lookup.lb_hashtbl_per_sec lookup.lb_array_per_sec
-    (lookup.lb_array_per_sec /. lookup.lb_hashtbl_per_sec);
-  Printf.printf "\n%-8s %10s %12s %10s %10s %10s %9s\n" "design" "settles"
-    "node rnds" "evaluated" "eff %" "bus pub" "bus drop";
+  Printf.printf "\n%-8s %10s %12s %10s %10s\n" "design" "settles"
+    "node rnds" "evaluated" "eff %";
   List.iter
     (fun t ->
-      Printf.printf "%-8s %10d %12d %10d %10s %10d %9d\n" t.ts_design
-        t.ts_settles t.ts_node_rounds t.ts_nodes_evaluated
+      Printf.printf "%-8s %10d %12d %10d %10s\n" t.ts_design t.ts_settles
+        t.ts_node_rounds t.ts_nodes_evaluated
         (match t.ts_efficiency with
         | Some e -> Printf.sprintf "%.1f%%" (100.0 *. e)
-        | None -> "n/a")
-        t.ts_bus_published t.ts_bus_dropped)
+        | None -> "n/a"))
     telem;
   Printf.printf "\n%-8s %16s %16s %10s %16s %10s\n" "design"
     "cyc/s telem off" "cyc/s telem on" "overhead" "cyc/s trace on"
@@ -731,14 +622,6 @@ let run_json_bench path baseline =
         o.to_cps_off o.to_cps_on o.to_overhead_pct o.to_cps_trace
         o.to_trace_overhead_pct)
     overheads;
-  Printf.printf "\n%-8s %10s %10s %14s %12s %9s\n" "domains" "wall s"
-    "jobs/s" "cycles/s" "util" "speedup";
-  List.iter
-    (fun c ->
-      Printf.printf "%-8d %10.4f %10.1f %14.1f %11.1f%% %8.2fx\n" c.cb_domains
-        c.cb_wall c.cb_jobs_per_sec c.cb_cycles_per_sec
-        (100.0 *. c.cb_utilization) c.cb_speedup)
-    campaigns;
   Printf.printf "\nwrote %s\n" path;
   (match baseline with
   | None -> ()
@@ -748,7 +631,6 @@ let run_json_bench path baseline =
         @ List.map
             (fun b -> (Printf.sprintf "%s@%d" b.bb_op b.bb_width, b.bb_ops_per_sec))
             bits
-        @ [ ("signal_lookup_array", lookup.lb_array_per_sec) ]
       in
       compare_to_baseline ~current ~baseline_path);
   if not (kernel_gate results) then exit 1

@@ -40,6 +40,37 @@ let bug_arg =
 let out_arg =
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file")
 
+(* The Verilog file the command is reading, named in design-error
+   messages. *)
+let input_file = ref None
+
+let parse_file path =
+  input_file := Some path;
+  Fpga_hdl.Parser.parse_design (In_channel.with_open_text path In_channel.input_all)
+
+(* A design the tools reject — with its line when the front end knows
+   it — as opposed to a bug in the tools. [main] reports the former and
+   exits [design_error_exit]; cmdliner keeps 124 for usage errors and
+   125 for internal errors. *)
+let design_error = function
+  | Fpga_hdl.Lexer.Lex_error (msg, line) | Fpga_hdl.Parser.Parse_error (msg, line)
+    ->
+      Some (Some line, msg)
+  | Fpga_sim.Elaborate.Elaboration_error msg | Fpga_sim.Compiled.Eval_error msg ->
+      Some (None, msg)
+  | Fpga_sim.Simulator.Combinational_cycle signals ->
+      Some (None, "combinational cycle through " ^ String.concat ", " signals)
+  | _ -> None
+
+let design_error_exit = 2
+
+let exits =
+  Cmd.Exit.info design_error_exit
+    ~doc:"on a design error: the Verilog input does not lex, parse, \
+          elaborate or simulate (the message names the file and, when \
+          known, the line)."
+  :: Cmd.Exit.defaults
+
 let buffer_arg =
   Arg.(value & opt int 8192 & info [ "buffer" ] ~docv:"DEPTH" ~doc:"Recording buffer depth (power of two)")
 
@@ -313,10 +344,7 @@ let losscheck_cmd =
     if Sys.file_exists target then (
       match (source, valid, sink) with
       | Some source, Some valid, Some sink ->
-          let design =
-            Fpga_hdl.Parser.parse_design
-              (In_channel.with_open_text target In_channel.input_all)
-          in
+          let design = parse_file target in
           let table = match stim with Some p -> parse_stim_file p | None -> [] in
           let stimulus cycle =
             match List.assoc_opt cycle table with
@@ -355,7 +383,7 @@ let losscheck_cmd =
                ~max_cycles:bug.Bug.max_cycles ~top:bug.Bug.top ~spec
                ~stimulus:bug.Bug.stimulus design)
   in
-  Cmd.v (Cmd.info "losscheck" ~doc)
+  Cmd.v (Cmd.info "losscheck" ~doc ~exits)
     Term.(
       const run $ bug_arg $ top_arg $ source_arg $ valid_arg $ sink_arg
       $ stim_arg $ cycles_arg)
@@ -536,9 +564,8 @@ let replay_cmd =
 let profile_cmd =
   let doc =
     "Run a bug's buggy design with telemetry enabled and report kernel \
-     statistics: settle rounds, nodes evaluated vs. skipped, the \
-     hottest signals by toggle count, and event-bus occupancy versus \
-     --buffer depth."
+     statistics: settle rounds, nodes evaluated vs. skipped, and the \
+     hottest signals by toggle count."
   in
   let cycles_arg =
     Arg.(value & opt int 200 & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to run")
@@ -550,11 +577,11 @@ let profile_cmd =
   let top_arg =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"K" ~doc:"Hottest signals to show")
   in
-  let run id cycles json buffer top_k trace trace_clock kernel =
+  let run id cycles json top_k trace trace_clock kernel =
     let bug = find_bug id in
     let p =
       traced ~trace ~clock:trace_clock (fun () ->
-          Fpga_report.Profile.run ~kernel ~cycles ~buffer ~top_k bug)
+          Fpga_report.Profile.run ~kernel ~cycles ~top_k bug)
     in
     Fpga_report.Profile.print p;
     match json with
@@ -566,8 +593,8 @@ let profile_cmd =
         Printf.printf "\nwrote %s\n" path
   in
   Cmd.v (Cmd.info "profile" ~doc)
-    Term.(const run $ bug_arg $ cycles_arg $ json_arg $ buffer_arg $ top_arg
-          $ trace_arg $ trace_clock_arg $ kernel_arg)
+    Term.(const run $ bug_arg $ cycles_arg $ json_arg $ top_arg $ trace_arg
+          $ trace_clock_arg $ kernel_arg)
 
 (* --- lint ------------------------------------------------------------ *)
 
@@ -579,8 +606,7 @@ let lint_cmd =
   in
   let run target =
     let design =
-      if Sys.file_exists target then
-        Fpga_hdl.Parser.parse_design (In_channel.with_open_text target In_channel.input_all)
+      if Sys.file_exists target then parse_file target
       else Bug.design_of (find_bug target) ~buggy:true
     in
     List.iter
@@ -593,7 +619,7 @@ let lint_cmd =
             findings))
       (Fpga_analysis.Lint.check_design design)
   in
-  Cmd.v (Cmd.info "lint" ~doc) Term.(const run $ target_arg)
+  Cmd.v (Cmd.info "lint" ~doc ~exits) Term.(const run $ target_arg)
 
 (* --- wavediff --------------------------------------------------------- *)
 
@@ -726,11 +752,7 @@ let sim_cmd =
   let run file top cycles stim watch vcd_out trace trace_clock kernel =
     traced ~trace ~clock:trace_clock @@ fun () ->
     let module Telemetry = Fpga_telemetry.Telemetry in
-    let design =
-      Telemetry.span "parse" @@ fun () ->
-      Fpga_hdl.Parser.parse_design
-        (In_channel.with_open_text file In_channel.input_all)
-    in
+    let design = Telemetry.span "parse" @@ fun () -> parse_file file in
     let flat =
       Telemetry.span "elaborate" @@ fun () ->
       Fpga_sim.Elaborate.elaborate design ~top
@@ -775,7 +797,7 @@ let sim_cmd =
     | _ -> ());
     if Fpga_sim.Simulator.finished sim then print_endline "design executed $finish"
   in
-  Cmd.v (Cmd.info "sim" ~doc)
+  Cmd.v (Cmd.info "sim" ~doc ~exits)
     Term.(const run $ file_arg $ top_arg $ cycles_arg $ stim_arg $ watch_arg
           $ vcd_arg $ trace_arg $ trace_clock_arg $ kernel_arg)
 
@@ -1058,13 +1080,33 @@ let report_cmd =
 
 let () =
   let doc = "software-style debugging tools for FPGA designs (ASPLOS '22 reproduction)" in
-  let info = Cmd.info "fpga-debug" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "fpga-debug" ~version:"1.0.0" ~doc ~exits in
+  let main =
+    Cmd.group info
+      [
+        list_cmd; repro_cmd; fsm_cmd; stats_cmd; deps_cmd; losscheck_cmd;
+        instrument_cmd; vcd_cmd; checkpoint_cmd; replay_cmd; profile_cmd;
+        lint_cmd; wavediff_cmd; snippets_cmd; export_cmd; sim_cmd;
+        report_cmd; campaign_cmd; fuzz_cmd; trace_check_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd; repro_cmd; fsm_cmd; stats_cmd; deps_cmd; losscheck_cmd;
-            instrument_cmd; vcd_cmd; checkpoint_cmd; replay_cmd; profile_cmd;
-            lint_cmd; wavediff_cmd; snippets_cmd; export_cmd; sim_cmd;
-            report_cmd; campaign_cmd; fuzz_cmd; trace_check_cmd;
-          ]))
+    (match Cmd.eval ~catch:false main with
+    | code -> code
+    | exception e -> (
+        match design_error e with
+        | Some (line, msg) ->
+            let where =
+              match (!input_file, line) with
+              | Some file, Some line -> Printf.sprintf "%s:%d: " file line
+              | Some file, None -> file ^ ": "
+              | None, Some line -> Printf.sprintf "line %d: " line
+              | None, None -> ""
+            in
+            Printf.eprintf "fpga-debug: error: %s%s\n" where msg;
+            design_error_exit
+        | None ->
+            Printf.eprintf "fpga-debug: internal error, uncaught exception:\n%s\n"
+              (Printexc.to_string e);
+            Printexc.print_backtrace stderr;
+            Cmd.Exit.internal_error))

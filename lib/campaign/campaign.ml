@@ -417,7 +417,7 @@ let json_escape s =
 let to_json (c : t) : string =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"schema\": \"fpga-debug-campaign/1\",\n";
+  add "{\n  \"schema\": \"fpga-debug-campaign/2\",\n";
   add "  \"domains\": %d,\n" c.c_stats.ps_domains;
   add "  \"jobs\": [\n";
   let njobs = Array.length c.c_results in
@@ -469,10 +469,8 @@ let to_json (c : t) : string =
   add "    \"pool_utilization\": %.4f\n" c.c_stats.ps_utilization;
   add "  },\n";
   let tel = c.c_stats.ps_telemetry in
-  add "  \"telemetry\": {\"counters\": %d, \"bus_published\": %d, \
-       \"bus_dropped\": %d}\n"
-    (List.length tel.Telemetry.r_counters)
-    tel.Telemetry.r_bus_published tel.Telemetry.r_bus_dropped;
+  add "  \"telemetry\": {\"counters\": %d}\n"
+    (List.length tel.Telemetry.r_counters);
   add "}\n";
   Buffer.contents buf
 

@@ -130,9 +130,10 @@ val trace_segments :
     argument of {!Fpga_telemetry.Trace_export.to_json}. *)
 
 val to_json : t -> string
-(** Schema [fpga-debug-campaign/1]: per-job wall time, worker, verdict
+(** Schema [fpga-debug-campaign/2]: per-job wall time, worker, verdict
     (waveforms summarized as length + MD5), plus aggregate throughput,
-    per-worker busy time, pool utilization, and merged telemetry. *)
+    per-worker busy time, pool utilization, and the number of merged
+    telemetry counters. Schema 2 drops the bus publish/drop counts. *)
 
 val print : t -> unit
 

@@ -151,8 +151,8 @@ let instrument (p : plan) (m : Ast.module_def) : Ast.module_def =
 (* The update trace recovered from the unified log. Note the logged
    value is the signal's *new* value: the display fires in the cycle the
    change is observed. [decode_updates] is the pure parser; the public
-   {!updates} also publishes each update onto the telemetry bus (once
-   per call — {!backtrace} decodes without re-publishing). *)
+   {!updates} also counts them in ["dep_monitor.updates"] (once per
+   call — {!backtrace} decodes without counting again). *)
 let decode_updates (log : (int * string) list) : update list =
   Instrument.tagged_lines tag log
   |> List.filter_map (fun (cycle, payload) ->
@@ -167,19 +167,7 @@ let updates_counter = Telemetry.Counter.make "dep_monitor.updates"
 
 let updates (_p : plan) (log : (int * string) list) : update list =
   let us = decode_updates log in
-  if Telemetry.enabled () then
-    List.iter
-      (fun u ->
-        Telemetry.Counter.incr updates_counter;
-        Telemetry.Bus.publish (Telemetry.bus ())
-          {
-            Telemetry.ev_cycle = u.cycle;
-            ev_source = "dep_monitor";
-            ev_kind = "update";
-            ev_data =
-              [ ("signal", u.signal); ("value", string_of_int u.value) ];
-          })
-      us;
+  if us <> [] then Telemetry.Counter.bump updates_counter (List.length us);
   us
 
 (* Backtrace helper: updates to chain members in the [k] cycles leading

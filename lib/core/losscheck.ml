@@ -575,8 +575,8 @@ let instrument (plan : plan) (m : Ast.module_def) : Ast.module_def =
 (* ------------------------------------------------------------------ *)
 
 (* [decode_alarms] is the pure parser; the public {!alarms} also
-   publishes each alarm onto the telemetry bus (once per call —
-   {!alarm_registers} decodes without re-publishing). *)
+   counts them in ["losscheck.alarms"] (once per call —
+   {!alarm_registers} decodes without counting again). *)
 let decode_alarms (log : (int * string) list) : (int * string) list =
   Instrument.tagged_lines tag log
   |> List.filter_map (fun (cycle, payload) ->
@@ -590,18 +590,7 @@ let alarms_counter = Telemetry.Counter.make "losscheck.alarms"
 
 let alarms (log : (int * string) list) : (int * string) list =
   let al = decode_alarms log in
-  if Telemetry.enabled () then
-    List.iter
-      (fun (cycle, reg) ->
-        Telemetry.Counter.incr alarms_counter;
-        Telemetry.Bus.publish (Telemetry.bus ())
-          {
-            Telemetry.ev_cycle = cycle;
-            ev_source = "losscheck";
-            ev_kind = "alarm";
-            ev_data = [ ("register", reg) ];
-          })
-      al;
+  if al <> [] then Telemetry.Counter.bump alarms_counter (List.length al);
   al
 
 let alarm_registers log = Ast.dedup (List.map snd (decode_alarms log))

@@ -47,7 +47,9 @@ type stats = {
 
 (* Run counters, maintained unconditionally (a handful of int stores
    per settle/commit, never per node): the skip-rate and commit-buffer
-   numbers profile and trace report. *)
+   numbers profile and trace report. The record is the simulator's,
+   shared with the brute-force kernel, which counts into the same
+   fields. *)
 type run_stats = {
   mutable rs_settles : int;
   mutable rs_closures_run : int;
@@ -809,8 +811,8 @@ let mark_all st =
 (* ------------------------------------------------------------------ *)
 
 let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
-    ~(notify : int -> unit) ~(nodes : node array) ~(fuse : bool array)
-    ~(sens : int list array) ~(display_ranks : int list)
+    ~(notify : int -> unit) ~(runs : run_stats) ~(nodes : node array)
+    ~(fuse : bool array) ~(sens : int list array) ~(display_ranks : int list)
     ~(seq : (Elaborate.clock_edge * Compiled.cstmt list) list) : t =
   let n = Compiled.n_signals tab in
   let ints = Array.make n 0 in
@@ -856,15 +858,7 @@ let create ~(tab : Compiled.tab) ~(env : Compiled.env) ~(finished : bool ref)
           lw_boxed = n - n_imm;
           lw_seq = List.length seq;
         };
-      runs =
-        {
-          rs_settles = 0;
-          rs_closures_run = 0;
-          rs_closures_skipped = 0;
-          rs_edges = 0;
-          rs_commit_imm = 0;
-          rs_commit_boxed = 0;
-        };
+      runs;
     }
   in
   let closures = Array.map (lower_node st) nodes in
@@ -1055,7 +1049,6 @@ let input_fn st (e : Compiled.cexpr) : unit -> Bits.t =
 
 let set_emit st f = st.emit <- f
 let stats st = st.stats
-let run_stats st = st.runs
 let plan_size st = Array.length st.plan
 
 (* Closures currently pending: the sparse worklist size, or the whole

@@ -35,7 +35,9 @@ type stats = {
 }
 
 (** Runtime counters, maintained unconditionally (a handful of int
-    stores per settle/commit, never per node). *)
+    stores per settle/commit, never per node). The simulator owns the
+    record and hands it to {!create}; its brute-force kernel counts
+    into the same fields (nodes as closures, none skipped). *)
 type run_stats = {
   mutable rs_settles : int;  (** settle passes *)
   mutable rs_closures_run : int;  (** closures evaluated *)
@@ -57,6 +59,7 @@ val create :
   env:Compiled.env ->
   finished:bool ref ->
   notify:(int -> unit) ->
+  runs:run_stats ->
   nodes:node array ->
   fuse:bool array ->
   sens:int list array ->
@@ -68,7 +71,8 @@ val create :
     it); [finished] is shared with the simulator's $finish flag and
     checked before every lowered statement. [notify] is the external
     change callback (toggle counting under telemetry); dirty marking is
-    composed on top internally. Immediate-bank values are seeded from
+    composed on top internally. [runs] receives the settle, edge and
+    commit counts. Immediate-bank values are seeded from
     [env]. [sens] maps signal id to the ranks of reading nodes and
     [display_ranks] lists ranks of comb blocks containing [$display];
     both are lifted to the closure level. *)
@@ -134,4 +138,3 @@ val set_emit : t -> (string -> unit) -> unit
 (** Wire the [$display] sink (the simulator's log/telemetry path). *)
 
 val stats : t -> stats
-val run_stats : t -> run_stats

@@ -63,35 +63,25 @@ type prim_state =
   | Pfifo of cprim * fifo_state
   | Pram of cprim * ram_state
 
-(* Kernel-profiling state, allocated at construction only when the
-   telemetry switch is on; [None] keeps the hot paths at a single
-   branch per settle/edge, with the per-node and per-write code
-   untouched. *)
+(* Kernel-profiling state that only telemetry needs, allocated at
+   construction only when the telemetry switch (or tracing) is on;
+   [None] keeps the hot paths at a single branch per settle/edge, with
+   the per-node and per-write code untouched. Settles, plan rounds,
+   evaluated closures and NBA commits are not here: both kernels count
+   them unconditionally in the run-stats record [t.runs]. *)
 type istats = {
   mutable s_steps : int;
-  mutable s_settles : int;
-  mutable s_node_rounds : int;
-      (* settles * plan size: nodes under brute, fused closures under
-         the event kernel *)
-  mutable s_nodes_evaluated : int;
   mutable s_dirty_total : int;  (* sum of dirty-set sizes at settle entry *)
   mutable s_dirty_peak : int;
-  mutable s_nba_commits : int;
   mutable s_prim_steps : int;
   mutable s_displays : int;
   s_toggles : int array;  (* per-signal change counts, by dense id *)
   s_settle_hist : Telemetry.Histogram.t;  (* nodes evaluated per settle *)
-  (* step-event sampling: one aggregated bus event per [s_sample_every]
-     cycles instead of one per cycle; totals stay exact *)
-  s_sample_every : int;
-  mutable s_cycles_in_window : int;
-  mutable s_evaluated_mark : int;  (* s_nodes_evaluated at last publish *)
-  (* bus accounting at create: the traced series reports this run's
-     publishes/drops, not the sink's lifetime totals, so the numbers
-     are identical whether the run shares a domain or owns one *)
-  s_bus_pub0 : int;
-  s_bus_drop0 : int;
+  mutable s_trace_mark : int;  (* [rs_closures_run] at the last sample *)
 }
+
+(* Cycles between two samples of the trace counter series. *)
+let trace_sample_every = 32
 
 (* The machinery behind a kernel: the production kernel's lowered
    closures, or the oracle's compiled plan and sequential blocks. *)
@@ -106,6 +96,10 @@ type t = {
   flat : flat;
   env : Compiled.env;  (* signal values indexed by dense id *)
   engine : engine;
+  runs : Lowered.run_stats;
+      (* settle/closure/commit counts, kept by whichever kernel runs:
+         fused closures under the event kernel, nodes (none skipped)
+         under brute *)
   notify : int -> unit;  (* change callback: toggle counting or [ignore] *)
   prims : prim_state list;
   mutable cycle : int;
@@ -189,21 +183,13 @@ type exec_ctx = {
   displays_enabled : bool;
 }
 
-(* The $display sink, shared by both kernels: log, stats, telemetry
-   bus, hook. Reads the cycle counter at emission time. *)
+(* The $display sink, shared by both kernels: log, stats, hook. Reads
+   the cycle counter at emission time. *)
 let emit_text sim text =
   sim.log <- (sim.cycle, text) :: sim.log;
   sim.log_len <- sim.log_len + 1;
   (match sim.stats with
-  | Some st ->
-      st.s_displays <- st.s_displays + 1;
-      Telemetry.Bus.publish (Telemetry.bus ())
-        {
-          Telemetry.ev_cycle = sim.cycle;
-          ev_source = "simulator";
-          ev_kind = "display";
-          ev_data = [ ("text", text) ];
-        }
+  | Some st -> st.s_displays <- st.s_displays + 1
   | None -> ());
   match sim.display_hook with Some f -> f sim.cycle text | None -> ()
 
@@ -383,7 +369,7 @@ let compile_node tab = function
   | Ablock stmts -> Lowered.Lblock (List.map (Compiled.compile_stmt tab) stmts)
 
 (* Build the production kernel over the topologically sorted plan. *)
-let lower ~tab ~env ~finished ~notify (flat : flat) ast_nodes nodes seq =
+let lower ~tab ~env ~finished ~notify ~runs (flat : flat) ast_nodes nodes seq =
   let n = Array.length nodes in
   (* sensitivity map on ids: every signal a node reads wakes that node *)
   let sens = Array.make (Array.length flat.f_signal_order) [] in
@@ -423,8 +409,8 @@ let lower ~tab ~env ~finished ~notify (flat : flat) ast_nodes nodes seq =
         | _ -> ())
     | Ablock _ -> ()
   done;
-  Lowered.create ~tab ~env ~finished ~notify ~nodes ~fuse ~sens ~display_ranks
-    ~seq
+  Lowered.create ~tab ~env ~finished ~notify ~runs ~nodes ~fuse ~sens
+    ~display_ranks ~seq
 
 let create ?(kernel = Event_driven) (flat : flat) : t =
   Telemetry.span "compile" @@ fun () ->
@@ -449,21 +435,13 @@ let create ?(kernel = Event_driven) (flat : flat) : t =
       Some
         {
           s_steps = 0;
-          s_settles = 0;
-          s_node_rounds = 0;
-          s_nodes_evaluated = 0;
           s_dirty_total = 0;
           s_dirty_peak = 0;
-          s_nba_commits = 0;
           s_prim_steps = 0;
           s_displays = 0;
           s_toggles = Array.make (Array.length flat.f_signal_order) 0;
           s_settle_hist = Telemetry.Histogram.make "settle.nodes_evaluated";
-          s_sample_every = Telemetry.step_sample ();
-          s_cycles_in_window = 0;
-          s_evaluated_mark = 0;
-          s_bus_pub0 = Telemetry.Bus.published (Telemetry.bus ());
-          s_bus_drop0 = Telemetry.Bus.dropped (Telemetry.bus ());
+          s_trace_mark = 0;
         }
     else None
   in
@@ -473,10 +451,14 @@ let create ?(kernel = Event_driven) (flat : flat) : t =
     | Some st -> fun i -> st.s_toggles.(i) <- st.s_toggles.(i) + 1
   in
   let finished = ref false in
+  let runs =
+    { Lowered.rs_settles = 0; rs_closures_run = 0; rs_closures_skipped = 0;
+      rs_edges = 0; rs_commit_imm = 0; rs_commit_boxed = 0 }
+  in
   let engine =
     match kernel with
     | Event_driven ->
-        Event (lower ~tab ~env ~finished ~notify flat ast_nodes nodes seq)
+        Event (lower ~tab ~env ~finished ~notify ~runs flat ast_nodes nodes seq)
     | Brute_force -> Brute { nodes; seq }
   in
   let input_closure ce =
@@ -502,7 +484,7 @@ let create ?(kernel = Event_driven) (flat : flat) : t =
       flat.f_prims
   in
   let sim =
-    { flat; env; engine; notify; prims; cycle = 0; finished; log = [];
+    { flat; env; engine; runs; notify; prims; cycle = 0; finished; log = [];
       log_len = 0; log_memo = (0, []); display_hook = None; step_hooks = [];
       stats }
   in
@@ -525,28 +507,22 @@ let settle ?(displays = false) (sim : t) =
       match sim.stats with
       | None -> ignore (Lowered.settle low ~displays)
       | Some st ->
-          (* counts are in fused closures, not nodes: that is the unit
-             the plan actually iterates, so evaluated/rounds is an
-             honest skip rate. Dirty size is read at settle entry
-             (display forcing happens inside). *)
-          let n = Lowered.plan_size low in
+          (* dirty size is read at settle entry (display forcing
+             happens inside) *)
           let pre = Lowered.dirty_count low in
           let ev = Lowered.settle low ~displays in
-          st.s_settles <- st.s_settles + 1;
-          st.s_node_rounds <- st.s_node_rounds + n;
-          st.s_nodes_evaluated <- st.s_nodes_evaluated + ev;
           st.s_dirty_total <- st.s_dirty_total + pre;
           if pre > st.s_dirty_peak then st.s_dirty_peak <- pre;
           Telemetry.Histogram.observe st.s_settle_hist ev)
   | Brute { nodes; _ } ->
       (* every node counts as considered, evaluated, and dirty *)
+      let n = Array.length nodes in
+      let r = sim.runs in
+      r.rs_settles <- r.rs_settles + 1;
+      r.rs_closures_run <- r.rs_closures_run + n;
       (match sim.stats with
       | None -> ()
       | Some st ->
-          let n = Array.length nodes in
-          st.s_settles <- st.s_settles + 1;
-          st.s_node_rounds <- st.s_node_rounds + n;
-          st.s_nodes_evaluated <- st.s_nodes_evaluated + n;
           st.s_dirty_total <- st.s_dirty_total + n;
           if n > st.s_dirty_peak then st.s_dirty_peak <- n;
           Telemetry.Histogram.observe st.s_settle_hist n);
@@ -611,27 +587,28 @@ let edge_phase (sim : t) (edge : Elaborate.clock_edge) ~with_prims =
       Lowered.run_edge low edge;
       if with_prims then List.iter step_prim sim.prims;
       (match sim.stats with
-      | None -> ()
-      | Some st ->
-          st.s_nba_commits <- st.s_nba_commits + Lowered.pending_count low;
-          if with_prims then
-            st.s_prim_steps <- st.s_prim_steps + List.length sim.prims);
+      | Some st when with_prims ->
+          st.s_prim_steps <- st.s_prim_steps + List.length sim.prims
+      | _ -> ());
       Lowered.commit low;
       if with_prims then List.iter (drive_prim_outputs sim) sim.prims
   | Brute { seq; _ } ->
       let ctx =
         { sim; pending = []; in_comb_phase = false; displays_enabled = true }
       in
+      let r = sim.runs in
       List.iter
-        (fun (e, body) -> if e = edge then List.iter (exec_stmt ctx) body)
+        (fun (e, body) ->
+          if e = edge then (
+            r.rs_edges <- r.rs_edges + 1;
+            List.iter (exec_stmt ctx) body))
         seq;
       if with_prims then List.iter step_prim sim.prims;
+      r.rs_commit_boxed <- r.rs_commit_boxed + List.length ctx.pending;
       (match sim.stats with
-      | None -> ()
-      | Some st ->
-          st.s_nba_commits <- st.s_nba_commits + List.length ctx.pending;
-          if with_prims then
-            st.s_prim_steps <- st.s_prim_steps + List.length sim.prims);
+      | Some st when with_prims ->
+          st.s_prim_steps <- st.s_prim_steps + List.length sim.prims
+      | _ -> ());
       List.iter
         (Compiled.apply_write_notify sim.env ~notify:sim.notify)
         (List.rev ctx.pending);
@@ -657,42 +634,21 @@ let step (sim : t) =
     (match sim.stats with
     | Some st ->
         st.s_steps <- st.s_steps + 1;
-        (* publish one aggregated event per sampling window rather than
-           one per cycle - the per-cycle record allocation dominated
-           telemetry-on overhead on small designs. Totals stay exact;
-           only the bus cadence changes. *)
-        st.s_cycles_in_window <- st.s_cycles_in_window + 1;
-        if st.s_cycles_in_window >= st.s_sample_every then (
-          let window = st.s_cycles_in_window in
-          let delta = st.s_nodes_evaluated - st.s_evaluated_mark in
-          st.s_cycles_in_window <- 0;
-          st.s_evaluated_mark <- st.s_nodes_evaluated;
-          Telemetry.Bus.publish (Telemetry.bus ())
-            {
-              Telemetry.ev_cycle = completed;
-              ev_source = "simulator";
-              ev_kind = "step";
-              ev_data =
-                [
-                  ("cycles", string_of_int window);
-                  ("evaluated", string_of_int delta);
-                ];
-            };
-          (* counter series for the trace timeline, at the same sampled
-             cadence as the bus event (no per-cycle cost) *)
+        (* counter series for the trace timeline, sampled once per
+           window (no per-cycle cost); "sim.evaluated" is the window's
+           closure count, so the samples sum to the run's total *)
+        if st.s_steps mod trace_sample_every = 0 then (
+          let evaluated = sim.runs.rs_closures_run in
+          let delta = evaluated - st.s_trace_mark in
+          st.s_trace_mark <- evaluated;
           if Telemetry.Trace.enabled () then (
-            let b = Telemetry.bus () in
             Telemetry.Trace.counter "sim.dirty"
               (match sim.engine with
               | Event low -> Lowered.dirty_count low
               | Brute { nodes; _ } -> Array.length nodes);
             Telemetry.Trace.counter "sim.evaluated" delta;
             Telemetry.Trace.counter "sim.dense"
-              (if dense_mode sim then 1 else 0);
-            Telemetry.Trace.counter "bus.published"
-              (Telemetry.Bus.published b - st.s_bus_pub0);
-            Telemetry.Trace.counter "bus.dropped"
-              (Telemetry.Bus.dropped b - st.s_bus_drop0)))
+              (if dense_mode sim then 1 else 0)))
     | None -> ());
     if sim.step_hooks <> [] then
       List.iter (fun f -> f completed) sim.step_hooks)
@@ -741,29 +697,33 @@ type stats = {
 }
 
 let stats sim =
+  let r = sim.runs in
   Option.map
     (fun st ->
       {
         st_steps = st.s_steps;
-        st_settles = st.s_settles;
-        st_node_rounds = st.s_node_rounds;
-        st_nodes_evaluated = st.s_nodes_evaluated;
-        st_nodes_skipped = st.s_node_rounds - st.s_nodes_evaluated;
+        st_settles = r.rs_settles;
+        st_node_rounds = r.rs_closures_run + r.rs_closures_skipped;
+        st_nodes_evaluated = r.rs_closures_run;
+        st_nodes_skipped = r.rs_closures_skipped;
         st_dirty_total = st.s_dirty_total;
         st_dirty_peak = st.s_dirty_peak;
-        st_nba_commits = st.s_nba_commits;
+        st_nba_commits = r.rs_commit_imm + r.rs_commit_boxed;
         st_prim_steps = st.s_prim_steps;
         st_displays = st.s_displays;
         st_settle_hist = Telemetry.Histogram.snapshot st.s_settle_hist;
       })
     sim.stats
 
-let lowered_run_stats sim = Option.map Lowered.run_stats (lowered sim)
+let lowered_run_stats sim =
+  match sim.engine with Event _ -> Some sim.runs | Brute _ -> None
 
 let kernel_efficiency sim =
+  let r = sim.runs in
+  let rounds = r.rs_closures_run + r.rs_closures_skipped in
   match sim.stats with
-  | Some st when st.s_node_rounds > 0 ->
-      Some (float_of_int st.s_nodes_evaluated /. float_of_int st.s_node_rounds)
+  | Some _ when rounds > 0 ->
+      Some (float_of_int r.rs_closures_run /. float_of_int rounds)
   | _ -> None
 
 let toggle_counts sim =

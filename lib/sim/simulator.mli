@@ -104,7 +104,10 @@ val on_step : t -> (int -> unit) -> unit
     Kernel-profiling counters, recorded only when the global
     {!Fpga_telemetry.Telemetry} switch was on at {!create} time —
     otherwise every accessor below reports nothing and the hot paths
-    carry no instrumentation at all. *)
+    carry no instrumentation at all. Settles, plan rounds, evaluated
+    work and NBA commits come from the one run-stats record both
+    kernels keep (see {!lowered_run_stats}): fused closures under
+    {!Event_driven}, nodes with none skipped under {!Brute_force}. *)
 
 type stats = {
   st_steps : int;  (** completed clock cycles *)

@@ -114,7 +114,7 @@ let test_to_json_schema () =
       check_bool (Printf.sprintf "report contains %s" needle) true
         (contains json needle))
     [
-      "\"schema\": \"fpga-debug-campaign/1\"";
+      "\"schema\": \"fpga-debug-campaign/2\"";
       "\"label\": \"repro:D2\"";
       "\"label\": \"differential:D2\"";
       "\"vcd_md5\"";

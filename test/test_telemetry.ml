@@ -1,7 +1,7 @@
-(* Tests for the telemetry core (counters, histograms, spans, event
-   bus), the simulator's kernel-profiling integration, and the profile
-   report. Every test that enables telemetry restores the disabled
-   default on exit so the rest of the suite keeps the zero-cost path. *)
+(* Tests for the telemetry core (counters, histograms, spans), the
+   simulator's kernel-profiling integration, and the profile report.
+   Every test that enables telemetry restores the disabled default on
+   exit so the rest of the suite keeps the zero-cost path. *)
 
 open Fpga_sim
 module Bits = Fpga_bits.Bits
@@ -23,26 +23,17 @@ let contains haystack needle =
   go 0
 
 (* Run [f] with telemetry enabled and a clean slate, then restore the
-   disabled default (flag, depth, sampling, contents) even on failure. *)
-let with_telemetry ?depth ?step_sample f =
+   disabled default (flag and contents) even on failure. *)
+let with_telemetry f =
   Telemetry.enable ();
   Telemetry.reset ();
-  (match depth with
-  | Some d -> Telemetry.Bus.set_depth (Telemetry.bus ()) d
-  | None -> ());
-  let old_sample = Telemetry.step_sample () in
-  (match step_sample with
-  | Some s -> Telemetry.set_step_sample s
-  | None -> ());
   Fun.protect
     ~finally:(fun () ->
-      Telemetry.Bus.set_depth (Telemetry.bus ()) 8192;
-      Telemetry.set_step_sample old_sample;
       Telemetry.reset ();
       Telemetry.disable ())
     f
 
-(* --- core: counters, histograms, spans, bus ------------------------ *)
+(* --- core: counters, histograms, spans ----------------------------- *)
 
 let test_counter_gating () =
   let c = Telemetry.Counter.make "test.gating" in
@@ -95,37 +86,6 @@ let test_span () =
           check_bool "non-negative total" true (secs >= 0.0)
       | None -> Alcotest.fail "span not recorded")
 
-let test_bus_ring () =
-  with_telemetry ~depth:4 (fun () ->
-      let ev i =
-        {
-          Telemetry.ev_cycle = i;
-          ev_source = "test";
-          ev_kind = "e";
-          ev_data = [];
-        }
-      in
-      for i = 0 to 5 do
-        Telemetry.Bus.publish (Telemetry.bus ()) (ev i)
-      done;
-      check_int "depth" 4 (Telemetry.Bus.depth (Telemetry.bus ()));
-      check_int "published" 6 (Telemetry.Bus.published (Telemetry.bus ()));
-      check_int "dropped" 2 (Telemetry.Bus.dropped (Telemetry.bus ()));
-      check_int "retained" 4 (Telemetry.Bus.length (Telemetry.bus ()));
-      Alcotest.(check (list int))
-        "most recent entries retained, oldest first" [ 2; 3; 4; 5 ]
-        (List.map
-           (fun e -> e.Telemetry.ev_cycle)
-           (Telemetry.Bus.events (Telemetry.bus ()))))
-
-let test_bus_disabled () =
-  Telemetry.disable ();
-  let before = Telemetry.Bus.published (Telemetry.bus ()) in
-  Telemetry.Bus.publish (Telemetry.bus ())
-    { Telemetry.ev_cycle = 0; ev_source = "t"; ev_kind = "k"; ev_data = [] };
-  check_int "disabled publish is a no-op" before
-    (Telemetry.Bus.published (Telemetry.bus ()))
-
 (* --- simulator integration ----------------------------------------- *)
 
 let counter_src =
@@ -145,7 +105,7 @@ let test_stats_gating () =
   check_bool "no toggle counts either" true (Simulator.toggle_counts sim = [])
 
 let test_stats_and_hottest () =
-  with_telemetry ~step_sample:1 (fun () ->
+  with_telemetry (fun () ->
       let sim = sim_of counter_src "top" in
       Simulator.set_input sim "enable" (b 1 1);
       Simulator.run sim 8;
@@ -165,46 +125,32 @@ let test_stats_and_hottest () =
       check_int "top-k limit respected" 2 (List.length hottest);
       check_bool "count and next are the hot signals" true
         (List.mem_assoc "count" hottest && List.mem_assoc "next" hottest);
-      (* the bus carries one "step" event per completed cycle *)
-      let steps =
-        List.filter
-          (fun e -> e.Telemetry.ev_kind = "step")
-          (Telemetry.Bus.events (Telemetry.bus ()))
-      in
-      check_int "one step event per cycle at sample interval 1" 8
-        (List.length steps);
-      check_int "step events are 0-based completed cycles" 0
-        (List.hd steps).Telemetry.ev_cycle)
-
-(* Step events are sampled: one aggregated bus event per window, with
-   exact totals carried in the payload. *)
-let test_step_event_sampling () =
-  with_telemetry ~step_sample:4 (fun () ->
-      let sim = sim_of counter_src "top" in
-      Simulator.set_input sim "enable" (b 1 1);
-      Simulator.run sim 8;
-      let st = Option.get (Simulator.stats sim) in
-      check_int "stats totals stay exact" 8 st.Simulator.st_steps;
-      let steps =
-        List.filter
-          (fun e -> e.Telemetry.ev_kind = "step")
-          (Telemetry.Bus.events (Telemetry.bus ()))
-      in
-      check_int "one aggregated event per 4-cycle window" 2
-        (List.length steps);
-      List.iter
-        (fun e ->
-          check_int "window size in payload" 4
-            (int_of_string (List.assoc "cycles" e.Telemetry.ev_data)))
-        steps;
-      let evaluated =
-        List.fold_left
-          (fun acc e ->
-            acc + int_of_string (List.assoc "evaluated" e.Telemetry.ev_data))
-          0 steps
-      in
-      check_int "windows sum to the exact evaluation total"
-        st.Simulator.st_nodes_evaluated evaluated)
+      (* step events: with tracing on, the simulator samples the
+         closures evaluated in each 32-cycle window as a counter event,
+         and the windows sum to the exact total *)
+      let module Trace = Telemetry.Trace in
+      Trace.enable ~clock:Trace.Virtual ();
+      Fun.protect
+        ~finally:(fun () ->
+          Trace.reset ();
+          Trace.disable ())
+        (fun () ->
+          let sim = sim_of counter_src "top" in
+          Simulator.set_input sim "enable" (b 1 1);
+          Simulator.run sim 64;
+          let st = Option.get (Simulator.stats sim) in
+          let windows =
+            List.filter_map
+              (fun e ->
+                if e.Trace.te_ph = 'C' && e.Trace.te_name = "sim.evaluated"
+                then Some e.Trace.te_value
+                else None)
+              (Trace.capture_all ()).Trace.sg_events
+          in
+          check_int "one sample per 32-cycle window" 2 (List.length windows);
+          check_int "windows sum to the exact evaluation total"
+            st.Simulator.st_nodes_evaluated
+            (List.fold_left ( + ) 0 windows)))
 
 (* Each domain records into its own sink: worker bumps never land in
    the parent's counters, and the pool-side merge sums reports. *)
@@ -220,30 +166,14 @@ let test_domain_isolation () =
             check_int "worker starts with an empty sink" 0
               (Telemetry.Counter.value c);
             Telemetry.Counter.bump c 5;
-            Telemetry.Bus.publish (Telemetry.bus ())
-              {
-                Telemetry.ev_cycle = 1;
-                ev_source = "worker";
-                ev_kind = "e";
-                ev_data = [];
-              };
             Telemetry.report ())
       in
       let wr = Domain.join worker in
       check_int "worker bumps stay out of the parent sink" 2
         (Telemetry.Counter.value c);
-      check_int "worker events stay off the parent bus" 0
-        (List.length
-           (List.filter
-              (fun e -> e.Telemetry.ev_source = "worker")
-              (Telemetry.Bus.events (Telemetry.bus ()))));
-      let parent = Telemetry.report () in
-      let merged = Telemetry.merge parent wr in
+      let merged = Telemetry.merge (Telemetry.report ()) wr in
       check_int "merge sums counters across sinks" 7
-        (List.assoc "test.domains" merged.Telemetry.r_counters);
-      check_int "merge sums bus publish accounting"
-        (parent.Telemetry.r_bus_published + wr.Telemetry.r_bus_published)
-        merged.Telemetry.r_bus_published)
+        (List.assoc "test.domains" merged.Telemetry.r_counters))
 
 let test_on_step_hook () =
   Telemetry.disable ();
@@ -305,32 +235,24 @@ let test_kernels_identical_with_telemetry () =
       check_bool "event-driven log == brute-force log, telemetry on" true
         (run Simulator.Event_driven = run Simulator.Brute_force))
 
-(* --- monitors publish onto the bus ---------------------------------- *)
+(* --- monitors count what they decode --------------------------------- *)
+
+let counter_value name =
+  Option.value ~default:0
+    (List.assoc_opt name (Telemetry.report ()).Telemetry.r_counters)
 
 let test_losscheck_publishes () =
   with_telemetry (fun () ->
+      ignore (Fpga_debug.Losscheck.alarms []);
+      check_bool "no alarm, no counter" false
+        (List.mem_assoc "losscheck.alarms" (Telemetry.report ()).Telemetry.r_counters);
       let log = [ (3, "[LOSSCHECK] potential data loss at r1") ] in
       let al = Fpga_debug.Losscheck.alarms log in
       Alcotest.(check (list (pair int string))) "alarm decoded" [ (3, "r1") ] al;
-      match
-        List.find_opt
-          (fun e -> e.Telemetry.ev_source = "losscheck")
-          (Telemetry.Bus.events (Telemetry.bus ()))
-      with
-      | Some e ->
-          check_int "alarm cycle" 3 e.Telemetry.ev_cycle;
-          Alcotest.(check (list (pair string string)))
-            "alarm payload"
-            [ ("register", "r1") ]
-            e.Telemetry.ev_data;
-          (* alarm_registers decodes without publishing a second time *)
-          ignore (Fpga_debug.Losscheck.alarm_registers log);
-          check_int "no double publish" 1
-            (List.length
-               (List.filter
-                  (fun e -> e.Telemetry.ev_source = "losscheck")
-                  (Telemetry.Bus.events (Telemetry.bus ()))))
-      | None -> Alcotest.fail "no losscheck event on the bus")
+      check_int "alarm counted" 1 (counter_value "losscheck.alarms");
+      (* alarm_registers decodes without counting a second time *)
+      ignore (Fpga_debug.Losscheck.alarm_registers log);
+      check_int "no double count" 1 (counter_value "losscheck.alarms"))
 
 let test_dep_monitor_publishes () =
   with_telemetry (fun () ->
@@ -347,39 +269,33 @@ endmodule
       let log = [ (7, "[DEP] q = 42") ] in
       let us = Fpga_debug.Dep_monitor.updates plan log in
       check_int "update decoded" 1 (List.length us);
-      check_int "dep_monitor event on the bus" 1
-        (List.length
-           (List.filter
-              (fun e -> e.Telemetry.ev_source = "dep_monitor")
-              (Telemetry.Bus.events (Telemetry.bus ())))))
+      check_int "update counted" 1 (counter_value "dep_monitor.updates");
+      (* backtrace decodes without counting a second time *)
+      ignore (Fpga_debug.Dep_monitor.backtrace plan log ~at_cycle:7);
+      check_int "no double count" 1 (counter_value "dep_monitor.updates"))
 
 (* --- profile report -------------------------------------------------- *)
 
 let test_profile_json () =
   let bug = Option.get (Registry.find "D2") in
-  let p = Fpga_report.Profile.run ~cycles:200 ~buffer:64 bug in
+  let p = Fpga_report.Profile.run ~cycles:200 bug in
   Telemetry.reset ();
-  Telemetry.Bus.set_depth (Telemetry.bus ()) 8192;
   check_int "ran the requested cycles" 200 p.Fpga_report.Profile.p_cycles_run;
   check_bool "telemetry restored to disabled" false (Telemetry.enabled ());
-  check_int "bus depth honours --buffer" 64 p.Fpga_report.Profile.p_bus_depth;
-  check_bool "small buffer drops events" true
-    (p.Fpga_report.Profile.p_bus_dropped > 0);
-  check_int "retained capped at depth" 64
-    p.Fpga_report.Profile.p_bus_retained;
   let json = Fpga_report.Profile.to_json p in
+  (* schema 4 carries no event-bus drop accounting *)
+  check_bool "no bus object" false (contains json "\"bus\"");
   List.iter
     (fun key -> check_bool key true (contains json key))
     [
-      "\"schema\": \"fpga-debug-profile/3\"";
+      "\"schema\": \"fpga-debug-profile/4\"";
       "\"kernel_stats\"";
       "\"kernel_efficiency\"";
       "\"nodes_skipped\"";
       "\"settle_rounds\"";
       "\"hottest_signals\"";
       "\"phases\"";
-      "\"bus\"";
-      "\"dropped\"";
+      "\"counters\"";
       (* lowered section: the default event kernel runs lowered
          closures *)
       "\"lowered\"";
@@ -403,6 +319,38 @@ let test_profile_empty_plan () =
   check_bool "JSON reports null" true
     (contains (Fpga_report.Profile.to_json p) "\"kernel_efficiency\": null,")
 
+(* One run-stats record, two kernels: the counts that do not depend on
+   how a kernel schedules its plan agree between the production kernel
+   and the oracle on every testbed bug. *)
+let test_run_stats_agree () =
+  with_telemetry (fun () ->
+      List.iter
+        (fun (bug : Bug.t) ->
+          let run kernel =
+            let design = Bug.design_of bug ~buggy:true in
+            let sim = Testbench.of_design ~kernel ~top:bug.Bug.top design in
+            let i = ref 0 in
+            while !i < 300 && not (Simulator.finished sim) do
+              List.iter
+                (fun (n, v) -> Simulator.set_input sim n v)
+                (bug.Bug.stimulus !i);
+              Simulator.step sim;
+              incr i
+            done;
+            Option.get (Simulator.stats sim)
+          in
+          let ev = run Simulator.Event_driven
+          and bf = run Simulator.Brute_force in
+          let field name f =
+            check_int (bug.Bug.id ^ " " ^ name) (f bf) (f ev)
+          in
+          field "steps" (fun s -> s.Simulator.st_steps);
+          field "settles" (fun s -> s.Simulator.st_settles);
+          field "nba_commits" (fun s -> s.Simulator.st_nba_commits);
+          field "prim_steps" (fun s -> s.Simulator.st_prim_steps);
+          field "displays" (fun s -> s.Simulator.st_displays))
+        Registry.all)
+
 let suite =
   [
     Alcotest.test_case "counter gating on the global switch" `Quick
@@ -410,16 +358,10 @@ let suite =
     Alcotest.test_case "histogram buckets and moments" `Quick test_histogram;
     Alcotest.test_case "span records calls and survives exceptions" `Quick
       test_span;
-    Alcotest.test_case "bus ring keeps newest, counts drops" `Quick
-      test_bus_ring;
-    Alcotest.test_case "bus publish disabled is a no-op" `Quick
-      test_bus_disabled;
     Alcotest.test_case "no stats allocated when disabled" `Quick
       test_stats_gating;
     Alcotest.test_case "kernel stats, hottest signals, step events" `Quick
       test_stats_and_hottest;
-    Alcotest.test_case "step events aggregate per sampling window" `Quick
-      test_step_event_sampling;
     Alcotest.test_case "per-domain sinks isolate and merge" `Quick
       test_domain_isolation;
     Alcotest.test_case "on_step hooks fire per completed cycle" `Quick
@@ -436,4 +378,6 @@ let suite =
       test_profile_json;
     Alcotest.test_case "profile efficiency n/a on an empty plan" `Quick
       test_profile_empty_plan;
+    Alcotest.test_case "run stats agree across kernels on the testbed" `Quick
+      test_run_stats_agree;
   ]

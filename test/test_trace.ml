@@ -166,7 +166,7 @@ endmodule
       List.iter
         (fun name ->
           check_bool (name ^ " series sampled") true (List.mem name series))
-        [ "sim.dirty"; "sim.evaluated"; "bus.published"; "bus.dropped" ])
+        [ "sim.dirty"; "sim.evaluated"; "sim.dense" ])
 
 (* --- pool accounting (the --jobs 4 regression) --------------------- *)
 
